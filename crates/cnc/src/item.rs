@@ -12,7 +12,9 @@ use parking_lot::Mutex;
 use crate::checkpoint::ItemSnapshot;
 use crate::error::{CncError, StepAbort};
 use crate::fault::PutAction;
-use crate::runtime::{note_body_put, Countdown, ProbeWait, RuntimeCore, StepScope};
+use crate::runtime::{
+    note_body_put, CollectionHooks, Countdown, ProbeWait, RuntimeCore, SpecLine, StepScope,
+};
 
 const SHARDS: usize = 16;
 
@@ -27,6 +29,61 @@ struct ItemInner<K, V> {
     name: &'static str,
     core: Arc<RuntimeCore>,
     shards: Vec<Mutex<HashMap<K, Entry<V>>>>,
+}
+
+impl<K, V> CollectionHooks for ItemInner<K, V>
+where
+    K: Clone + Debug + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn parked(&self, out: &mut Vec<ProbeWait>) {
+        for shard in &self.shards {
+            for (key, entry) in shard.lock().iter() {
+                if let Entry::Waiting(waiters) = entry {
+                    out.extend(waiters.iter().map(|w| ProbeWait {
+                        instance: w.instance_id(),
+                        step: w.step_name(),
+                        collection: self.name,
+                        key: format!("{key:?}"),
+                    }));
+                }
+            }
+        }
+    }
+
+    /// Single assignment makes any quiescent snapshot a consistent cut:
+    /// ready items are immutable once put.
+    fn snapshot(&self) -> Option<ItemSnapshot> {
+        let mut ready: Vec<(K, V)> = Vec::new();
+        for shard in &self.shards {
+            for (key, entry) in shard.lock().iter() {
+                if let Entry::Ready(v) = entry {
+                    ready.push((key.clone(), v.clone()));
+                }
+            }
+        }
+        Some(ItemSnapshot {
+            name: self.name,
+            len: ready.len(),
+            data: Arc::new(ready) as Arc<dyn std::any::Any + Send + Sync>,
+        })
+    }
+
+    /// Forgets every parked instance (ready items stay readable),
+    /// dropping them after the shard locks are released: their bodies
+    /// may own the last handles to other collections.
+    fn teardown(&self) {
+        let mut parked = Vec::new();
+        for shard in &self.shards {
+            shard.lock().retain(|_, entry| match entry {
+                Entry::Ready(_) => true,
+                Entry::Waiting(waiters) => {
+                    parked.append(waiters);
+                    false
+                }
+            });
+        }
+    }
 }
 
 /// A handle to an item collection. Cloning is cheap (shared state); step
@@ -55,7 +112,6 @@ where
     V: Clone + Send + Sync + 'static,
 {
     pub(crate) fn new(name: &'static str, core: Arc<RuntimeCore>) -> Self {
-        core.spec.lock().push(format!("[{name}];"));
         let shards: Vec<Mutex<HashMap<K, Entry<V>>>> =
             (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
         // Resume: if a checkpoint installed via `CncGraph::resume_from`
@@ -80,52 +136,8 @@ where
             }
         }
         let inner = Arc::new(ItemInner { name, core, shards });
-        // Deadlock diagnostics: let the runtime scan this collection for
-        // parked waiters. The probe holds the collection weakly — the
-        // collection owns the core, never the reverse.
-        let weak = Arc::downgrade(&inner);
-        inner
-            .core
-            .register_diag_probe(Box::new(move |out: &mut Vec<ProbeWait>| {
-                let Some(inner) = weak.upgrade() else { return };
-                for shard in &inner.shards {
-                    let map = shard.lock();
-                    for (key, entry) in map.iter() {
-                        if let Entry::Waiting(waiters) = entry {
-                            for w in waiters {
-                                out.push(ProbeWait {
-                                    instance: w.instance_id(),
-                                    step: w.step_name(),
-                                    collection: inner.name,
-                                    key: format!("{key:?}"),
-                                });
-                            }
-                        }
-                    }
-                }
-            }));
-        // Checkpointing: snapshot this collection's ready entries (the
-        // single-assignment guarantee makes any quiescent snapshot a
-        // consistent cut — ready items are immutable once put).
-        let weak = Arc::downgrade(&inner);
-        inner.core.register_checkpoint_probe(Box::new(move || {
-            let mut ready: Vec<(K, V)> = Vec::new();
-            if let Some(inner) = weak.upgrade() {
-                for shard in &inner.shards {
-                    let map = shard.lock();
-                    for (key, entry) in map.iter() {
-                        if let Entry::Ready(v) = entry {
-                            ready.push((key.clone(), v.clone()));
-                        }
-                    }
-                }
-            }
-            ItemSnapshot {
-                name,
-                len: ready.len(),
-                data: Arc::new(ready) as Arc<dyn std::any::Any + Send + Sync>,
-            }
-        }));
+        let hooks = Arc::downgrade(&inner);
+        inner.core.register_collection(SpecLine::Items(name), hooks);
         Self { inner }
     }
 

@@ -5,13 +5,14 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use recdp_forkjoin::{ThreadPool, ThreadPoolBuilder};
-use recdp_trace::{panic_message, EventKind, StepOutcomeKind, Tracer};
+use recdp_trace::{panic_message, EventKind, StepId, StepOutcomeKind, Tracer};
 
 use crate::checkpoint::{Checkpoint, ItemSnapshot};
 use crate::error::{
@@ -232,13 +233,14 @@ impl CncGraph {
     }
 
     /// Sets the retry budget for transient step failures (see
-    /// [`RetryPolicy`]). Applies to executions dispatched after the call.
+    /// [`RetryPolicy`]). Like the fault injector it is frozen at the
+    /// graph's first put: setting it later panics.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
         assert!(
             policy.max_attempts >= 1,
             "RetryPolicy::max_attempts must be >= 1"
         );
-        *self.core.retry_policy.lock() = policy;
+        self.core.configure_steps(|c| c.retry_policy = policy);
     }
 
     /// Arms a deadline that every subsequent [`CncGraph::wait`] respects
@@ -246,15 +248,16 @@ impl CncGraph {
     /// `wait` internally — e.g. the kernel drivers — inherit a timeout
     /// configured by the environment.
     pub fn set_deadline(&self, deadline: Duration) {
-        *self.core.deadline.lock() = Some(deadline);
+        self.core.config.lock().deadline = Some(deadline);
     }
 
     /// Installs a fault injector consulted before every step-body
-    /// execution and item put (see [`crate::FaultInjector`]). Install it
-    /// before putting tags; replacing it mid-flight affects only
-    /// executions dispatched afterwards.
+    /// execution and item put (see [`crate::FaultInjector`]). Steps read
+    /// a snapshot frozen at the graph's first put, so install it before
+    /// putting anything: installing it later panics.
     pub fn set_fault_injector(&self, injector: Arc<dyn FaultInjector>) {
-        *self.core.fault_injector.write() = Some(injector);
+        self.core
+            .configure_steps(|c| c.fault_injector = Some(injector));
     }
 
     /// Installs an event tracer. Step executions record `StepRun` spans
@@ -286,7 +289,7 @@ impl CncGraph {
     /// schedule-exploration harness reproduces verdict races
     /// deterministically. Production code has no reason to call this.
     pub fn set_wait_probe(&self, probe: impl Fn() + Send + Sync + 'static) {
-        *self.core.wait_probe.lock() = Some(Arc::new(probe));
+        self.core.config.lock().wait_probe = Some(Arc::new(probe));
     }
 
     /// Blocks until the graph quiesces: no step instance is queued or
@@ -310,7 +313,7 @@ impl CncGraph {
     /// verdict still yields a stale `Deadlock` — retry `wait` in that
     /// case.
     pub fn wait(&self) -> Result<GraphStats, CncError> {
-        let deadline = *self.core.deadline.lock();
+        let deadline = self.core.config.lock().deadline;
         self.wait_inner(deadline)
     }
 
@@ -354,7 +357,7 @@ impl CncGraph {
                 // exact window a racing environment put would occupy,
                 // so the schedule-exploration harness can reproduce
                 // verdict races on demand (see `set_wait_probe`).
-                let probe = self.core.wait_probe.lock().clone();
+                let probe = self.core.config.lock().wait_probe.clone();
                 if let Some(probe) = probe {
                     probe();
                 }
@@ -462,11 +465,14 @@ impl CncGraph {
     /// `<tags> :: (step); [items] -> ...` notation of the paper's
     /// Listing 1/4).
     pub fn spec(&self) -> String {
-        let lines = self.core.spec.lock();
         let mut out = String::from("// CnC graph specification\n");
-        for l in lines.iter() {
-            out.push_str(l);
-            out.push('\n');
+        for line in self.core.spec.lock().iter() {
+            match *line {
+                SpecLine::Items(name) => writeln!(out, "[{name}];"),
+                SpecLine::Tags(name) => writeln!(out, "<{name}>;"),
+                SpecLine::Prescribes(tags, step) => writeln!(out, "<{tags}> :: ({step});"),
+            }
+            .expect("writing to a String cannot fail");
         }
         out
     }
@@ -500,37 +506,42 @@ impl CncGraph {
     /// worker loss) and install the result on a *fresh* graph with
     /// [`CncGraph::resume_from`].
     pub fn checkpoint(&self) -> Checkpoint {
-        if self.pool.is_some() {
-            // Drain: fail-fast makes queued instances retire in
-            // microseconds; the bound only avoids masking a genuine
-            // runtime hang (same discipline as `Drop`).
-            let deadline = Instant::now() + Duration::from_secs(10);
-            let mut guard = self.core.quiesce_mutex.lock();
-            while self.core.pending.load(Ordering::Acquire) > 0 {
-                if self
-                    .core
-                    .quiesce_cond
-                    .wait_until(&mut guard, deadline)
-                    .timed_out()
-                {
-                    break;
-                }
-            }
-        }
+        self.drain();
         let items: Vec<ItemSnapshot> = self
             .core
-            .checkpoint_probes
-            .lock()
+            .live_collections()
             .iter()
-            .map(|probe| probe())
+            .filter_map(|c| c.snapshot())
             .collect();
-        let mut executed = self.core.executed_log.lock().clone();
+        let mut executed: HashSet<(&'static str, u64)> = HashSet::new();
+        for shard in &self.core.executed_log {
+            executed.extend(shard.lock().iter().copied());
+        }
         if let Some(skips) = self.core.skip_set.get() {
             // Checkpointing a *resumed* graph carries the inherited skip
             // set forward: those steps are still completed.
             executed.extend(skips.iter().copied());
         }
         Checkpoint { items, executed }
+    }
+
+    /// Waits (bounded) for in-flight instances to retire. Error-path
+    /// waits (deadline, cancellation, deadlock) return while instances
+    /// may still be queued; fail-fast makes those retire in
+    /// microseconds, so the bound exists only to avoid masking a genuine
+    /// runtime hang. Managed graphs run inline: nothing is in flight.
+    fn drain(&self) {
+        if self.pool.is_none() {
+            return;
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (cond, pending) = (&self.core.quiesce_cond, &self.core.pending);
+        let mut guard = self.core.quiesce_mutex.lock();
+        while pending.load(Ordering::Acquire) > 0 {
+            if cond.wait_until(&mut guard, deadline).timed_out() {
+                break;
+            }
+        }
     }
 
     /// Installs `checkpoint` on this graph: item collections created
@@ -575,30 +586,16 @@ impl Default for CncGraph {
 }
 
 impl Drop for CncGraph {
-    /// Drains in-flight instances (bounded) before the pool handle is
-    /// released. Error-path waits (deadline, cancellation, deadlock)
-    /// return while instances may still be queued; without this drain,
-    /// dropping the graph would drop the pool's last handle with jobs
-    /// still queued, tripping the pool's dropped-work debug check for
-    /// work the fail-fast path was about to discard deliberately.
-    /// Fail-fast makes queued instances retire in microseconds, so the
-    /// bound exists only to avoid masking a genuine runtime hang.
+    /// Drains in-flight instances, then releases every prescribed step
+    /// body and parked instance. Without the drain, the pool's last
+    /// handle could drop with jobs still queued, tripping its
+    /// dropped-work debug check for work fail-fast was about to discard.
+    /// Without the release, a body that captures its own collections —
+    /// the CnC recursion idiom — keeps them, itself and the core alive
+    /// forever; the handle is the one owner outside that cycle.
     fn drop(&mut self) {
-        if self.pool.is_none() {
-            return; // managed graphs run inline; nothing is in flight
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut guard = self.core.quiesce_mutex.lock();
-        while self.core.pending.load(Ordering::Acquire) > 0 {
-            if self
-                .core
-                .quiesce_cond
-                .wait_until(&mut guard, deadline)
-                .timed_out()
-            {
-                break;
-            }
-        }
+        self.drain();
+        self.core.teardown();
     }
 }
 
@@ -612,21 +609,66 @@ pub(crate) struct ProbeWait {
     pub(crate) key: String,
 }
 
-pub(crate) type DiagProbe = Box<dyn Fn(&mut Vec<ProbeWait>) + Send + Sync>;
+/// What the runtime asks of the collections created on it. Implemented
+/// by each collection's shared state, which the core holds weakly: a
+/// collection belongs to its handles (the environment's, and the ones
+/// step bodies capture) and holds the core, not the other way round.
+pub(crate) trait CollectionHooks: Send + Sync {
+    /// Appends the instances parked on this collection's wait lists.
+    fn parked(&self, _out: &mut Vec<ProbeWait>) {}
 
-/// Snapshots one item collection's ready entries for
-/// [`CncGraph::checkpoint`] (registered by `ItemCollection::new`, held
-/// weakly inside the closure like the diagnostic probes).
-pub(crate) type CheckpointProbe = Box<dyn Fn() -> ItemSnapshot + Send + Sync>;
+    /// This collection's ready items (item collections only).
+    fn snapshot(&self) -> Option<ItemSnapshot> {
+        None
+    }
 
-/// Shared runtime state. Step instances hold `Arc<RuntimeCore>`; the pool
-/// is held weakly so the graph owner controls its lifetime (dropping the
-/// graph mid-flight discards still-queued instances).
+    /// Releases what may hold a handle back to a collection: prescribed
+    /// step bodies, parked instances.
+    fn teardown(&self);
+}
+
+/// One line of [`CncGraph::spec`], kept as names and rendered on demand.
+pub(crate) enum SpecLine {
+    Items(&'static str),
+    Tags(&'static str),
+    Prescribes(&'static str, &'static str),
+}
+
+/// What steps read of the configuration, frozen at the first put so
+/// they never take the configuration lock.
+#[derive(Clone, Default)]
+struct StepConfig {
+    retry_policy: RetryPolicy,
+    fault_injector: Option<Arc<dyn FaultInjector>>,
+}
+
+/// Everything the environment can set on a graph.
+#[derive(Default)]
+struct GraphConfig {
+    steps: StepConfig,
+    deadline: Option<Duration>,
+    /// See [`CncGraph::set_wait_probe`].
+    wait_probe: Option<Arc<dyn Fn() + Send + Sync>>,
+}
+
+/// Shards of the completed-step log, by tag hash (few: each is a lock
+/// to create per graph, and held only for a push).
+const LOG_SHARDS: usize = 4;
+
+/// Shared runtime state. The [`CncGraph`] handle, every collection and
+/// every step instance hold the core; the core holds the collections
+/// and the pool weakly, so the graph owner controls the pool's lifetime.
+/// Collections hold prescriptions and wait lists, those hold step
+/// bodies, and bodies usually hold collection handles again — the one
+/// cycle, cut by `teardown`: a graph's step bodies and parked instances
+/// die with its `CncGraph` handle.
 pub(crate) struct RuntimeCore {
     pool: Weak<ThreadPool>,
-    /// Textual graph description, accumulated as collections are created
-    /// and prescriptions registered (the Listing-4 style specification).
-    pub(crate) spec: Mutex<Vec<String>>,
+    /// Collections and prescriptions in creation order (the Listing-4
+    /// style specification).
+    pub(crate) spec: Mutex<Vec<SpecLine>>,
+    /// Every collection created on the graph, held weakly.
+    collections: Mutex<Vec<Weak<dyn CollectionHooks>>>,
     /// Step executions queued or running.
     pending: AtomicUsize,
     /// Step instances parked on wait lists / pre-scheduling countdowns.
@@ -641,16 +683,11 @@ pub(crate) struct RuntimeCore {
     quiesce_mutex: Mutex<()>,
     quiesce_cond: Condvar,
     error: Mutex<Option<CncError>>,
-    retry_policy: Mutex<RetryPolicy>,
-    deadline: Mutex<Option<Duration>>,
-    fault_injector: RwLock<Option<Arc<dyn FaultInjector>>>,
-    /// One probe per item collection, each scanning its shards for
-    /// parked waiters (held weakly inside the closures — collections own
-    /// the core, not the reverse).
-    diag_probes: Mutex<Vec<DiagProbe>>,
-    /// Test instrumentation: invoked inside the deadlock-candidate
-    /// window of `wait` (see [`CncGraph::set_wait_probe`]).
-    wait_probe: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
+    /// Set once `error` is: what the step path tests instead of locking.
+    failed: AtomicBool,
+    config: Mutex<GraphConfig>,
+    /// `config.steps` as of the first put.
+    frozen: OnceLock<StepConfig>,
     /// Managed-mode state: present iff the graph was built with
     /// [`CncGraph::managed`]. Ready instances queue here instead of
     /// being spawned onto a pool, and a scheduler callback owns every
@@ -659,11 +696,12 @@ pub(crate) struct RuntimeCore {
     /// Event tracer, installed at most once via [`CncGraph::set_tracer`].
     /// `None` keeps every instrumentation site a single branch.
     tracer: OnceLock<Arc<Tracer>>,
-    /// Completed executions that put no tags: `(step name, tag hash)`.
+    /// Completed executions that put no tags: `(step name, tag hash)`,
+    /// appended here and folded into a set by [`CncGraph::checkpoint`].
     /// The data-producing steps a checkpoint records and a resumed run
     /// skips (tag-putting expansion steps re-run instead; see
     /// [`crate::checkpoint`]).
-    executed_log: Mutex<HashSet<(&'static str, u64)>>,
+    executed_log: [Mutex<Vec<(&'static str, u64)>>; LOG_SHARDS],
     /// Steps a checkpoint installed by [`CncGraph::resume_from`] marks
     /// as already completed: instances whose identity is in the set
     /// retire without executing their bodies.
@@ -672,9 +710,6 @@ pub(crate) struct RuntimeCore {
     /// [`CncGraph::resume_from`], consumed by `ItemCollection::new` when
     /// the matching collection is re-created on the resumed graph.
     resume_seeds: Mutex<HashMap<&'static str, ItemSnapshot>>,
-    /// One probe per item collection, snapshotting its ready entries for
-    /// [`CncGraph::checkpoint`].
-    checkpoint_probes: Mutex<Vec<CheckpointProbe>>,
     pub(crate) stats: StatCounters,
 }
 
@@ -693,28 +728,26 @@ impl RuntimeCore {
     pub(crate) fn build(pool: Weak<ThreadPool>, managed: Option<PickFn>) -> Arc<Self> {
         Arc::new(RuntimeCore {
             pool,
-            spec: Mutex::new(Vec::new()),
+            spec: Mutex::default(),
+            collections: Mutex::default(),
             pending: AtomicUsize::new(0),
             blocked: AtomicUsize::new(0),
             resume_epoch: AtomicUsize::new(0),
             quiesce_mutex: Mutex::new(()),
             quiesce_cond: Condvar::new(),
             error: Mutex::new(None),
-            retry_policy: Mutex::new(RetryPolicy::default()),
-            deadline: Mutex::new(None),
-            fault_injector: RwLock::new(None),
-            diag_probes: Mutex::new(Vec::new()),
-            wait_probe: Mutex::new(None),
+            failed: AtomicBool::new(false),
+            config: Mutex::default(),
+            frozen: OnceLock::new(),
             managed: managed.map(|picker| ManagedState {
                 queue: Mutex::new(Vec::new()),
                 picker: Mutex::new(picker),
                 trace: Mutex::new(Vec::new()),
             }),
             tracer: OnceLock::new(),
-            executed_log: Mutex::new(HashSet::new()),
+            executed_log: std::array::from_fn(|_| Mutex::default()),
             skip_set: OnceLock::new(),
             resume_seeds: Mutex::new(HashMap::new()),
-            checkpoint_probes: Mutex::new(Vec::new()),
             stats: StatCounters::default(),
         })
     }
@@ -796,20 +829,54 @@ impl RuntimeCore {
     pub(crate) fn record_error(&self, err: CncError) {
         let mut slot = self.error.lock();
         slot.get_or_insert(err);
+        // Release, paired with the acquire load in `error_pending`: a
+        // step that sees the flag also sees the error it stands for.
+        self.failed.store(true, Ordering::Release);
         drop(slot);
         self.notify_quiescence();
     }
 
     pub(crate) fn error_pending(&self) -> bool {
-        self.error.lock().is_some()
+        self.failed.load(Ordering::Acquire)
     }
 
-    pub(crate) fn register_diag_probe(&self, probe: DiagProbe) {
-        self.diag_probes.lock().push(probe);
+    /// Records a new collection: its specification line and its hooks.
+    pub(crate) fn register_collection(&self, line: SpecLine, hooks: Weak<dyn CollectionHooks>) {
+        self.spec.lock().push(line);
+        self.collections.lock().push(hooks);
     }
 
-    pub(crate) fn register_checkpoint_probe(&self, probe: CheckpointProbe) {
-        self.checkpoint_probes.lock().push(probe);
+    /// The collections that are still alive, in creation order.
+    fn live_collections(&self) -> Vec<Arc<dyn CollectionHooks>> {
+        let collections = self.collections.lock();
+        collections.iter().filter_map(Weak::upgrade).collect()
+    }
+
+    /// Cuts every reference the graph's contents hold on it (the wait
+    /// probe may capture collections too). Tag puts afterwards find
+    /// nothing prescribed and do nothing.
+    fn teardown(&self) {
+        if let Some(m) = &self.managed {
+            drop(std::mem::take(&mut *m.queue.lock()));
+        }
+        self.live_collections().iter().for_each(|c| c.teardown());
+        drop(std::mem::take(&mut *self.config.lock()));
+    }
+
+    /// Applies an environment `set_*` call to the step configuration.
+    fn configure_steps(&self, set: impl FnOnce(&mut StepConfig)) {
+        let mut config = self.config.lock();
+        assert!(
+            self.frozen.get().is_none(),
+            "retry policy and fault injector must be set before the graph's first put"
+        );
+        set(&mut config.steps);
+    }
+
+    /// The step configuration, frozen on first use (the first put).
+    fn step_config(&self) -> &StepConfig {
+        let freeze = || self.config.lock().steps.clone();
+        self.frozen.get_or_init(freeze)
     }
 
     /// Removes and returns the resume seed for collection `name`, if a
@@ -829,9 +896,9 @@ impl RuntimeCore {
             .is_some_and(|s| s.contains(&(step, tag_hash)))
     }
 
-    /// The installed fault injector, if any (for item-put interception).
-    pub(crate) fn injector(&self) -> Option<Arc<dyn FaultInjector>> {
-        self.fault_injector.read().clone()
+    /// The installed fault injector, if any.
+    pub(crate) fn injector(&self) -> Option<&Arc<dyn FaultInjector>> {
+        self.step_config().fault_injector.as_ref()
     }
 
     pub(crate) fn count_injected_fault(&self) {
@@ -846,8 +913,8 @@ impl RuntimeCore {
     /// wait-for diagnostic. Called without the quiescence lock held.
     fn deadlock_diagnostic(&self) -> DeadlockDiagnostic {
         let mut raw: Vec<ProbeWait> = Vec::new();
-        for probe in self.diag_probes.lock().iter() {
-            probe(&mut raw);
+        for collection in self.live_collections() {
+            collection.parked(&mut raw);
         }
         build_diagnostic(raw)
     }
@@ -882,6 +949,7 @@ impl RuntimeCore {
             None => {
                 // Pool gone (graph dropped): account the instance as done
                 // so a straggling `wait` cannot hang.
+                drop(task);
                 self.finish_one();
             }
         }
@@ -1022,6 +1090,9 @@ fn longest_chain(raw: &[ProbeWait]) -> Vec<String> {
 pub(crate) struct InstanceTask {
     core: Arc<RuntimeCore>,
     step_name: &'static str,
+    /// `step_name` interned in the graph's tracer (once per prescription),
+    /// if one was installed when this instance was created.
+    trace_step: Option<StepId>,
     /// Deterministic hash of the prescribing tag (fault-site identity).
     tag_hash: u64,
     /// Transient-failure retries taken so far. Blocked-get re-executions
@@ -1035,12 +1106,18 @@ impl InstanceTask {
     pub(crate) fn new(
         core: Arc<RuntimeCore>,
         step_name: &'static str,
+        trace_step: &OnceLock<StepId>,
         tag_hash: u64,
         exec: Box<dyn Fn(&StepScope) -> StepResult + Send + Sync>,
     ) -> Arc<Self> {
+        let trace_step = core
+            .tracer
+            .get()
+            .map(|t| *trace_step.get_or_init(|| t.intern(step_name)));
         Arc::new(InstanceTask {
             core,
             step_name,
+            trace_step,
             tag_hash,
             attempts: AtomicU32::new(0),
             exec,
@@ -1049,14 +1126,12 @@ impl InstanceTask {
 
     /// Schedules this instance for (re-)execution.
     pub(crate) fn enqueue(self: &Arc<Self>) {
-        let core = Arc::clone(&self.core);
-        core.enqueue(Arc::clone(self), false);
+        self.core.enqueue(Arc::clone(self), false);
     }
 
     /// Schedules this instance via the global injector (fair FIFO).
     pub(crate) fn enqueue_fair(self: &Arc<Self>) {
-        let core = Arc::clone(&self.core);
-        core.enqueue(Arc::clone(self), true);
+        self.core.enqueue(Arc::clone(self), true);
     }
 
     pub(crate) fn step_name(&self) -> &'static str {
@@ -1067,11 +1142,29 @@ impl InstanceTask {
         self.tag_hash
     }
 
+    /// This step's name in the graph's tracer.
+    fn trace_id(&self, tracer: &Tracer) -> StepId {
+        self.trace_step
+            .unwrap_or_else(|| tracer.intern(self.step_name))
+    }
+
+    /// Executes (or drains) the instance, then retires it from
+    /// `pending` — only after letting go of the step body: whoever sees
+    /// the graph quiescent may drop it, and no body outlives that drop.
     fn run(self: Arc<Self>) {
+        self.execute();
+        let core = match Arc::try_unwrap(self) {
+            Ok(task) => task.core,
+            // Parked or re-enqueued: a countdown or queue owns it too.
+            Err(shared) => Arc::clone(&shared.core),
+        };
+        core.finish_one();
+    }
+
+    fn execute(self: &Arc<Self>) {
         // Fail-fast: once the graph recorded an error (failure,
         // cancellation, timeout), drain without executing bodies.
         if self.core.error_pending() {
-            self.core.finish_one();
             return;
         }
         // Resume skip: a checkpoint installed via `resume_from` records
@@ -1080,14 +1173,16 @@ impl InstanceTask {
         // single assignment forbids re-putting them.
         if self.core.should_skip(self.step_name, self.tag_hash) {
             crate::stats::bump(&self.core.stats.steps_skipped);
-            self.core.finish_one();
             return;
         }
         crate::stats::bump(&self.core.stats.steps_started);
-        let lane = self.core.tracer.get().map(|t| t.lane());
-        let t0 = lane.as_ref().map(|l| l.now());
+        let traced = self.core.tracer.get().map(|t| {
+            let lane = t.lane();
+            let step = self.trace_id(t);
+            (lane.now(), lane, step)
+        });
         let scope = StepScope {
-            task: &self,
+            task: self,
             waiter: RefCell::new(None),
         };
         // Consult the fault injector *before* the body runs: a failed
@@ -1118,11 +1213,10 @@ impl InstanceTask {
         // the thread time this execution occupied — retry backoff sleeps
         // are charged to the (same-lane) re-execution's surroundings, not
         // to the aborted attempt.
-        if let (Some(lane), Some(t0)) = (&lane, t0) {
-            let tracer = self.core.tracer.get().expect("lane implies tracer");
+        if let Some((t0, lane, step)) = traced {
             lane.span(
                 EventKind::StepRun {
-                    step: tracer.intern(self.step_name),
+                    step,
                     tag: self.tag_hash,
                     outcome: outcome_kind,
                 },
@@ -1130,7 +1224,7 @@ impl InstanceTask {
             );
             if blocked_outcome {
                 lane.instant(EventKind::BlockedGet {
-                    instance: Arc::as_ptr(&self) as usize as u64,
+                    instance: Arc::as_ptr(self) as usize as u64,
                 });
             }
         }
@@ -1144,10 +1238,9 @@ impl InstanceTask {
                 // re-run on resume to rebuild the tag tree (and doing so
                 // is safe precisely because it put no items).
                 if body_tag_puts == 0 {
-                    self.core
-                        .executed_log
+                    self.core.executed_log[self.tag_hash as usize % LOG_SHARDS]
                         .lock()
-                        .insert((self.step_name, self.tag_hash));
+                        .push((self.step_name, self.tag_hash));
                 }
             }
             Ok(Err(StepAbort::Blocked)) => {
@@ -1172,7 +1265,8 @@ impl InstanceTask {
         // countdown would later re-execute a completed instance (double
         // puts) or inflate the blocked counter forever; surface it as a
         // contract violation instead.
-        if let Some(waiter) = scope.waiter.borrow_mut().take() {
+        let waiter = scope.waiter.borrow_mut().take();
+        if let Some(waiter) = waiter {
             if !blocked_outcome {
                 self.core.record_error(CncError::StepFailed {
                     step: self.step_name,
@@ -1184,7 +1278,6 @@ impl InstanceTask {
             }
             waiter.fire();
         }
-        self.core.finish_one();
     }
 
     /// Asks the installed injector what to do with this execution.
@@ -1250,13 +1343,13 @@ impl InstanceTask {
             });
             return;
         }
-        let policy = *self.core.retry_policy.lock();
+        let policy = self.core.step_config().retry_policy;
         let attempts = self.attempts.fetch_add(1, Ordering::AcqRel) + 1;
         if attempts < policy.max_attempts {
             crate::stats::bump(&self.core.stats.steps_retried);
             if let Some(tracer) = self.core.tracer.get() {
                 tracer.lane().instant(EventKind::StepRetry {
-                    step: tracer.intern(self.step_name),
+                    step: self.trace_id(tracer),
                     tag: self.tag_hash,
                 });
             }
@@ -1272,8 +1365,7 @@ impl InstanceTask {
             // Fair re-enqueue (global injector): the pending slot is
             // claimed before this execution retires below, so quiescence
             // can never slip through between failure and retry.
-            let core = Arc::clone(&self.core);
-            core.enqueue(Arc::clone(self), true);
+            self.core.enqueue(Arc::clone(self), true);
         } else if policy.max_attempts > 1 {
             self.core.record_error(CncError::RetryExhausted {
                 step: self.step_name,
@@ -1401,7 +1493,7 @@ impl Countdown {
     /// `wait()` would otherwise report spurious quiescence).
     pub(crate) fn fire(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let core = Arc::clone(&self.task.core);
+            let core = &self.task.core;
             // Advance the resume epoch first: the deadlock check uses it
             // to detect a resume that runs to retirement between its
             // counter reads (both counters would look unchanged).
@@ -1957,6 +2049,108 @@ mod tests {
         let d = build_diagnostic(raw);
         assert_eq!(d.waits.len(), 4);
         assert_eq!(d.longest_chain.len(), 5, "{:?}", d.longest_chain);
+    }
+}
+
+#[cfg(test)]
+mod checkpoint_log_tests {
+    use super::*;
+    use crate::StepOutcome;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    /// The completed-step log is appended per shard on the step path
+    /// and only folded into a set by `checkpoint()`. On 64 seeded
+    /// managed schedules, each cut short after a seed-dependent number
+    /// of executions, the fold must be exactly the set of leaf steps
+    /// whose bodies ran to completion — no expansion step (it put
+    /// tags), no blocked execution (it did not complete), nothing lost
+    /// between shards.
+    #[test]
+    fn checkpoint_records_exactly_the_completed_leaves_on_64_schedules() {
+        for seed in 0..64u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let (g, h) = CncGraph::managed(Box::new(move |ready| {
+                state = jitter_mix(state);
+                state as usize % ready.len()
+            }));
+            let cells = g.item_collection::<u32, u32>("cells");
+            let calls = g.tag_collection::<u32>("calls");
+            let done = Arc::new(Mutex::new(Vec::new()));
+            let (c, t, d) = (cells.clone(), calls.clone(), Arc::clone(&done));
+            // Tags 1..16 expand a binary tree; leaves 16..32 form a
+            // chain through `cells`, so most orders block some of them.
+            calls.prescribe("node", move |&n, scope| {
+                if n < 16 {
+                    t.put(2 * n);
+                    t.put(2 * n + 1);
+                    return Ok(StepOutcome::Done);
+                }
+                let prev = if n > 16 { c.get(scope, &(n - 1))? } else { 0 };
+                c.put(n, prev + 1)?;
+                d.lock().push(n);
+                Ok(StepOutcome::Done)
+            });
+            calls.put(1);
+            for _ in 0..seed % 48 {
+                h.run_one();
+            }
+            let expected: HashSet<(&'static str, u64)> = done
+                .lock()
+                .iter()
+                .map(|n: &u32| {
+                    let mut hasher = DefaultHasher::new();
+                    n.hash(&mut hasher);
+                    ("node", hasher.finish())
+                })
+                .collect();
+            assert_eq!(g.checkpoint().executed, expected, "seed {seed}");
+            // Run to the end: every leaf, still no expansion step.
+            g.wait().unwrap();
+            assert_eq!(g.checkpoint().executed_steps(), 16, "seed {seed}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod trace_tests {
+    use super::*;
+    use crate::StepOutcome;
+    use recdp_trace::NormalizedEvent;
+
+    /// Step names are interned once per prescription when an instance
+    /// is created; an instance created before the tracer was installed
+    /// interns at execution instead. Either way every execution is one
+    /// `StepRun` under its own step's name.
+    #[test]
+    fn step_runs_carry_their_step_name_whenever_the_tracer_arrives() {
+        for tracer_first in [true, false] {
+            let (g, _h) = CncGraph::managed(Box::new(|_| 0));
+            let tracer = Tracer::new();
+            let tags = g.tag_collection::<u32>("t");
+            tags.prescribe("alpha", |_, _| Ok(StepOutcome::Done));
+            tags.prescribe("beta", |_, _| Ok(StepOutcome::Done));
+            if tracer_first {
+                g.set_tracer(Arc::clone(&tracer));
+            }
+            for n in 0..5 {
+                tags.put(n);
+            }
+            g.set_tracer(Arc::clone(&tracer)); // first call wins
+            let stats = g.wait().unwrap();
+            let mut names: Vec<String> = tracer
+                .normalized()
+                .into_iter()
+                .map(|e| match e {
+                    NormalizedEvent::StepRun { step, .. } => step,
+                    other => panic!("unexpected event {other:?}"),
+                })
+                .collect();
+            names.sort();
+            assert_eq!(names.len() as u64, stats.steps_started);
+            assert_eq!(names[..5], ["alpha"; 5], "tracer_first={tracer_first}");
+            assert_eq!(names[5..], ["beta"; 5], "tracer_first={tracer_first}");
+        }
     }
 }
 

@@ -2,12 +2,14 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
+use recdp_trace::StepId;
 
 use crate::runtime::{
-    note_body_put, note_body_tag_put, Countdown, DepSet, InstanceTask, RuntimeCore, StepScope,
+    note_body_put, note_body_tag_put, CollectionHooks, Countdown, DepSet, InstanceTask,
+    RuntimeCore, SpecLine, StepScope,
 };
 use crate::StepResult;
 
@@ -15,13 +17,26 @@ type StepBody<T> = Arc<dyn Fn(&T, &StepScope) -> StepResult + Send + Sync>;
 
 struct Prescription<T> {
     step_name: &'static str,
+    /// `step_name` interned in the graph's tracer, on first use.
+    trace_step: OnceLock<StepId>,
     body: StepBody<T>,
 }
 
 struct TagInner<T> {
     name: &'static str,
     core: Arc<RuntimeCore>,
-    prescriptions: RwLock<Vec<Prescription<T>>>,
+    /// `None` once the graph handle dropped: its teardown releases the
+    /// bodies, and later puts find nothing to run.
+    prescriptions: RwLock<Option<Vec<Prescription<T>>>>,
+}
+
+impl<T: Send + Sync> CollectionHooks for TagInner<T> {
+    fn teardown(&self) {
+        // Dropped after the lock is released: the bodies may own the
+        // last handles to other collections.
+        let released = self.prescriptions.write().take();
+        drop(released);
+    }
 }
 
 /// A handle to a tag collection. Putting a tag creates one instance of
@@ -44,14 +59,14 @@ where
     T: Hash + Clone + Send + Sync + 'static,
 {
     pub(crate) fn new(name: &'static str, core: Arc<RuntimeCore>) -> Self {
-        core.spec.lock().push(format!("<{name}>;"));
-        Self {
-            inner: Arc::new(TagInner {
-                name,
-                core,
-                prescriptions: RwLock::new(Vec::new()),
-            }),
-        }
+        let inner = Arc::new(TagInner {
+            name,
+            core,
+            prescriptions: RwLock::new(Some(Vec::new())),
+        });
+        let hooks = Arc::downgrade(&inner);
+        inner.core.register_collection(SpecLine::Tags(name), hooks);
+        Self { inner }
     }
 
     /// Collection name (diagnostics).
@@ -67,20 +82,23 @@ where
     where
         F: Fn(&T, &StepScope) -> StepResult + Send + Sync + 'static,
     {
-        self.inner
-            .core
-            .spec
-            .lock()
-            .push(format!("<{}> :: ({step_name});", self.inner.name));
-        self.inner.prescriptions.write().push(Prescription {
-            step_name,
-            body: Arc::new(body),
-        });
+        if let Some(prescriptions) = self.inner.prescriptions.write().as_mut() {
+            prescriptions.push(Prescription {
+                step_name,
+                trace_step: OnceLock::new(),
+                body: Arc::new(body),
+            });
+            let line = SpecLine::Prescribes(self.inner.name, step_name);
+            self.inner.core.spec.lock().push(line);
+        }
         self
     }
 
     fn instances(&self, tag: &T) -> Vec<Arc<InstanceTask>> {
         let prescriptions = self.inner.prescriptions.read();
+        let Some(prescriptions) = prescriptions.as_ref() else {
+            return Vec::new(); // graph dropped: like a put with the pool gone
+        };
         assert!(
             !prescriptions.is_empty(),
             "tag collection <{}> has no prescribed step collection",
@@ -100,6 +118,7 @@ where
                 InstanceTask::new(
                     Arc::clone(&self.inner.core),
                     p.step_name,
+                    &p.trace_step,
                     tag_hash,
                     Box::new(move |scope| body(&tag, scope)),
                 )

@@ -62,39 +62,39 @@ impl CompletionLatch for SpinLatch {
 /// spinning. Used by `ThreadPool::install`: the installing thread sits
 /// outside the pool, cannot help with work, and must not burn CPU or pay
 /// a sleep-slice tail waiting for the result.
+///
+/// The latch lives in the installer's stack frame, which is popped as
+/// soon as the installer sees it set, so the flag is only ever read
+/// *under the mutex*: a reader that sees `true` took the lock after the
+/// setter released it, i.e. after the setter's last access to the latch.
+/// (A lock-free probe let the installer return between the setter's
+/// flag store and its notify/unlock — a write into a dead frame.)
 #[derive(Debug)]
 pub(crate) struct LockLatch {
-    set: AtomicBool,
-    mutex: Mutex<()>,
+    set: Mutex<bool>,
     cond: Condvar,
 }
 
 impl LockLatch {
     pub(crate) fn new() -> Self {
         Self {
-            set: AtomicBool::new(false),
-            mutex: Mutex::new(()),
+            set: Mutex::new(false),
             cond: Condvar::new(),
         }
     }
 
     pub(crate) fn set(&self) {
-        // Store under the lock so a waiter that checked `set` and is
-        // about to wait cannot miss the notification.
-        let _guard = self.mutex.lock();
-        self.set.store(true, Ordering::Release);
+        let mut set = self.set.lock();
+        *set = true;
         self.cond.notify_all();
     }
 
     /// Blocks until the latch is set. Wakes as soon as the setter
     /// notifies — no polling interval, no sleep-slice tail.
     pub(crate) fn wait(&self) {
-        if self.probe() {
-            return;
-        }
-        let mut guard = self.mutex.lock();
-        while !self.set.load(Ordering::Acquire) {
-            self.cond.wait(&mut guard);
+        let mut set = self.set.lock();
+        while !*set {
+            self.cond.wait(&mut set);
         }
     }
 }
@@ -102,7 +102,7 @@ impl LockLatch {
 impl Latch for LockLatch {
     #[inline]
     fn probe(&self) -> bool {
-        self.set.load(Ordering::Acquire)
+        *self.set.lock()
     }
 }
 

@@ -17,7 +17,8 @@
 //!
 //! Scheduling is classic Cilk/rayon-style randomized work stealing over
 //! per-worker Chase-Lev deques (`crossbeam-deque`) with a shared injector
-//! for external submissions; idle workers park on a condvar. While a task
+//! for external submissions; idle workers poll briefly for the next wave
+//! of work, then park on a condvar. While a task
 //! waits at a join whose other branch was stolen, its worker *helps* by
 //! stealing other work instead of blocking the OS thread.
 //!

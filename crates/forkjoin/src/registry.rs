@@ -201,20 +201,9 @@ impl ThreadPool {
         let job_ref = unsafe { job.as_job_ref() };
         self.registry.inject(job_ref);
         // The installing thread is outside the pool, so it cannot help:
-        // spin briefly for the fast case (a worker picks the job up
-        // immediately), then block on the job's condvar latch. The
-        // worker's `set` wakes us directly — no polling interval, no
-        // sleep-slice latency tail.
-        let mut spins = 0u32;
-        while !job.latch().probe() {
-            if spins < 64 {
-                std::hint::spin_loop();
-                spins += 1;
-            } else {
-                job.latch().wait();
-                break;
-            }
-        }
+        // it blocks on the job's latch, which the worker's `set` wakes
+        // directly — no polling interval, no sleep-slice latency tail.
+        job.latch().wait();
         job.into_result()
     }
 
@@ -659,18 +648,31 @@ impl WorkerThread {
                         idle_since = Some(lane.now());
                     }
                 }
-                if idle < 32 {
-                    std::hint::spin_loop();
-                    idle += 1;
-                } else {
-                    std::thread::yield_now();
-                }
+                idle_round(&mut idle);
             }
         }
         if let (Some(lane), Some(start)) = (&self.lane, idle_since) {
             lane.span(EventKind::JoinWait, start);
         }
     }
+}
+
+/// Rounds an idle worker polls for work before it blocks on the sleep
+/// condvar (about 0.1 ms; on a busy machine every yield hands the core
+/// over). A running job's next wave is usually microseconds away, and a
+/// worker that blocked in between costs it a futex wake-up whose latency
+/// is the host's to decide: short jobs ran 15-40 % longer and their
+/// times moved with the host from run to run.
+const IDLE_POLLS: u32 = 400;
+
+/// One round of looking for work in vain: spin at first, then yield.
+fn idle_round(rounds: &mut u32) {
+    if *rounds < 32 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+    *rounds = rounds.saturating_add(1);
 }
 
 fn worker_main(worker: Worker<JobRef>, registry: Arc<Registry>, index: usize) {
@@ -684,6 +686,8 @@ fn worker_main(worker: Worker<JobRef>, registry: Arc<Registry>, index: usize) {
     };
     CURRENT_WORKER.with(|c| c.set(&wt as *const WorkerThread));
 
+    let mut idle = 0u32;
+    let mut idle_since: Option<u64> = None;
     while !registry.terminate.load(Ordering::Acquire) {
         // Fail-stop check: kills fire between queued jobs, never inside
         // one (dying mid-join would strand StackJob latches that other
@@ -694,6 +698,10 @@ fn worker_main(worker: Worker<JobRef>, registry: Arc<Registry>, index: usize) {
             return;
         }
         if let Some((job, source)) = wt.find_work() {
+            idle = 0;
+            if let (Some(lane), Some(t0)) = (&wt.lane, idle_since.take()) {
+                lane.span(EventKind::Park, t0);
+            }
             if let Some(hook) = &registry.task_hook {
                 hook();
             }
@@ -707,17 +715,27 @@ fn worker_main(worker: Worker<JobRef>, registry: Arc<Registry>, index: usize) {
                 lane.span(EventKind::TaskRun { source }, t0);
             }
         } else {
-            let t0 = wt.lane.as_ref().map(|lane| lane.now());
-            {
-                let mut guard = registry.sleep_mutex.lock();
-                // Bounded wait: covers the push-vs-sleep race without a
-                // heavier epoch protocol.
-                registry
-                    .sleep_cond
-                    .wait_for(&mut guard, Duration::from_millis(1));
+            // Idle time, polled or blocked, is recorded as `Park`.
+            if idle_since.is_none() {
+                idle_since = wt.lane.as_ref().map(|lane| lane.now());
             }
-            if let (Some(lane), Some(t0)) = (&wt.lane, t0) {
-                lane.span(EventKind::Park, t0);
+            if idle < IDLE_POLLS {
+                idle_round(&mut idle);
+            } else {
+                // `idle` stays put: a worker woken by the bounded wait's
+                // timeout looks once and blocks again; only work re-arms
+                // the polling.
+                {
+                    let mut guard = registry.sleep_mutex.lock();
+                    // Bounded wait: covers the push-vs-sleep race without
+                    // a heavier epoch protocol.
+                    registry
+                        .sleep_cond
+                        .wait_for(&mut guard, Duration::from_millis(1));
+                }
+                if let (Some(lane), Some(t0)) = (&wt.lane, idle_since.take()) {
+                    lane.span(EventKind::Park, t0);
+                }
             }
         }
     }
@@ -913,6 +931,31 @@ mod tests {
             best < Duration::from_micros(40),
             "fastest install took {best:?}; a sleep-poll tail is back"
         );
+    }
+
+    #[test]
+    fn install_stress_never_touches_a_popped_latch_frame() {
+        // Regression for the install use-after-return: the installer
+        // used to probe the latch flag without the lock, so it could
+        // return (popping the frame that holds the `StackJob`) while the
+        // worker's `set` was still notifying and unlocking inside it.
+        // Each iteration reuses the same stack slot for the next job, so
+        // a late write shows up as a corrupted job or, under
+        // ThreadSanitizer, as a race on the frame.
+        const CLIENTS: usize = 4;
+        const INSTALLS: usize = 50_000;
+        let pool = ThreadPoolBuilder::new().num_threads(2).build();
+        std::thread::scope(|s| {
+            for c in 0..CLIENTS {
+                let pool = &pool;
+                s.spawn(move || {
+                    for i in 0..INSTALLS {
+                        assert_eq!(pool.install(|| i ^ c), i ^ c);
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.shutdown(), 0);
     }
 
     #[test]
@@ -1121,6 +1164,44 @@ mod tests {
         // 8 joins push their second branch + the injected install job.
         assert!(report.spawns >= 9, "spawns undercounted: {}", report.spawns);
         assert!(report.work_ns > 0);
+    }
+
+    #[test]
+    fn idle_workers_stop_polling_and_every_idle_stretch_is_a_park() {
+        // An idle worker polls for a bounded number of rounds, then
+        // blocks in slices of the bounded wait; polled or blocked, the
+        // time is recorded as `Park`. Over 30 idle milliseconds each
+        // worker must therefore show slices a millisecond or more long
+        // (it did block: endless polling would record none) that add up
+        // to most of the time (nothing went unrecorded). The thresholds
+        // leave room for a loaded machine stretching every slice.
+        let tracer = recdp_trace::Tracer::new();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(2)
+            .tracer(Arc::clone(&tracer))
+            .build();
+        pool.install(|| ());
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(pool.shutdown(), 0);
+        let workers: Vec<Vec<u64>> = tracer
+            .lanes()
+            .iter()
+            .map(|lane| {
+                let parks = lane.events().into_iter();
+                parks
+                    .filter(|e| matches!(e.kind, EventKind::Park))
+                    .map(|e| e.dur_ns)
+                    .collect::<Vec<u64>>()
+            })
+            .filter(|parks| !parks.is_empty())
+            .collect();
+        assert_eq!(workers.len(), 2, "one lane with parks per worker");
+        for parks in workers {
+            let slices = parks.iter().filter(|&&ns| ns >= 900_000).count();
+            assert!(slices >= 3, "only {slices} blocked slices: {parks:?}");
+            let total: u64 = parks.iter().sum();
+            assert!(total >= 15_000_000, "{total} ns of 30 ms idle recorded");
+        }
     }
 
     #[test]

@@ -228,20 +228,6 @@ struct EngineCtx<S: DpSpec> {
     integrity: Option<Arc<IntegrityState>>,
 }
 
-// Manual impl: `derive(Clone)` would needlessly require `S: Clone`
-// bounds on the collections too.
-impl<S: DpSpec> Clone for EngineCtx<S> {
-    fn clone(&self) -> Self {
-        EngineCtx {
-            spec: self.spec.clone(),
-            variant: self.variant,
-            items: self.items.clone(),
-            tags: self.tags.clone(),
-            integrity: self.integrity.clone(),
-        }
-    }
-}
-
 impl<S: DpSpec> EngineCtx<S> {
     /// Declared dependency set of a base tile task (for `put_when`).
     fn deps(&self, tile: TileKey) -> DepSet {
@@ -432,7 +418,9 @@ fn register_cnc_with<S: DpSpec>(
     let func_names = spec.func_names();
     let step_names = spec.step_names();
     assert_eq!(func_names.len(), step_names.len());
-    let ctx = EngineCtx {
+    // Shared by every step body: bodies hold the collections that hold
+    // them, a cycle the graph cuts when its `CncGraph` handle drops.
+    let ctx = Arc::new(EngineCtx {
         spec: spec.clone(),
         variant,
         items: graph.item_collection(spec.item_name()),
@@ -441,10 +429,10 @@ fn register_cnc_with<S: DpSpec>(
             .map(|name| graph.tag_collection(name))
             .collect(),
         integrity,
-    };
+    });
 
     for (func, step_name) in step_names.iter().enumerate() {
-        let cx = ctx.clone();
+        let cx = Arc::clone(&ctx);
         ctx.tags[func].prescribe(step_name, move |&tag: &Tag, scope| {
             let (i0, j0, k0, s) = tag;
             if s == 1 {

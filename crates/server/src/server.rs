@@ -593,9 +593,7 @@ fn execute(inner: &Inner, job: &QueuedJob, queued_s: f64) -> Executed {
     let seconds = started.elapsed().as_secs_f64();
     let (busy_ns, steps_completed) = match &tracer {
         Some(tracer) => {
-            let report =
-                TraceSession::with_tracer(Arc::clone(tracer), inner.pool.num_threads()).report();
-            (report.work_ns, report.steps)
+            TraceSession::with_tracer(Arc::clone(tracer), inner.pool.num_threads()).work_and_steps()
         }
         None => ((seconds * 1e9) as u64, 0),
     };

@@ -6,9 +6,12 @@
 /// [`recdp_trace::Tracer`] — actual step thread-time on the shared
 /// pool — so a tenant is charged for what its steps consumed, not for
 /// wall time the pool spent on other tenants' steps interleaved with
-/// its own. Serial and fork-join jobs fall back to wall time (the
-/// pool's tracer slot is fixed at build and cannot be retargeted per
-/// job).
+/// its own. The tracer lives inside the job's graph and dies with it:
+/// a worker's lane lookup scans the tracers of jobs in flight (at most
+/// `max_inflight`), never those of jobs already served, and the runner
+/// reads back only `work_ns` and the step count, not a full report.
+/// Serial and fork-join jobs fall back to wall time (the pool's tracer
+/// slot is fixed at build and cannot be retargeted per job).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TenantStats {
     /// Fair-share weight at the last accounting event.

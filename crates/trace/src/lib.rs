@@ -107,8 +107,9 @@ pub enum EventKind {
     /// stall of the paper's model. Nested helping is excluded: the span
     /// covers only time spent spinning/yielding with no work found.
     JoinWait,
-    /// fork-join: the worker parked on the sleep condvar with no work
-    /// anywhere (span; the span's end is the unpark).
+    /// fork-join: the worker found no work anywhere and polled, then
+    /// parked on the sleep condvar (span; its end is the next job found
+    /// or the unpark).
     Park,
     /// cnc: one step execution (span), however it ended.
     StepRun {
@@ -252,6 +253,11 @@ impl Lane {
         self.buf.lock().events.clone()
     }
 
+    /// Runs `f` over the recorded events in place (record order).
+    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
+        f(&self.buf.lock().events)
+    }
+
     /// Number of events that did not fit the ring.
     pub fn dropped(&self) -> u64 {
         self.buf.lock().dropped
@@ -276,11 +282,24 @@ pub struct Tracer {
 }
 
 thread_local! {
-    /// Per-thread lane cache: (tracer identity, lane). Keyed weakly so a
-    /// dead tracer's entry cannot alias a new tracer allocated at the
-    /// same address.
+    /// Per-thread lane cache: (tracer identity, lane). The `Weak` pins
+    /// the tracer's allocation, so no new tracer can alias an entry and
+    /// the lookup compares pointers without upgrading. Dead tracers'
+    /// entries are purged whenever a lane is registered, so the cache
+    /// never outgrows the tracers alive at once on this thread.
     static LANE_CACHE: RefCell<Vec<(Weak<Tracer>, Arc<Lane>)>> =
         const { RefCell::new(Vec::new()) };
+}
+
+/// Test instrumentation: `(entries, entries whose tracer is still
+/// alive)` of the calling thread's lane cache.
+#[doc(hidden)]
+pub fn lane_cache_len() -> (usize, usize) {
+    LANE_CACHE.with(|cache| {
+        let cache = cache.borrow();
+        let live = cache.iter().filter(|(t, _)| t.strong_count() > 0);
+        (cache.len(), live.count())
+    })
 }
 
 impl Tracer {
@@ -317,7 +336,9 @@ impl Tracer {
             name: name.into(),
             epoch: self.epoch,
             buf: Mutex::new(LaneBuf {
-                events: Vec::new(),
+                // A lane is created per thread per traced job: skip
+                // the first few reallocations on every one.
+                events: Vec::with_capacity(self.cap.min(64)),
                 cap: self.cap,
                 dropped: 0,
             }),
@@ -331,14 +352,11 @@ impl Tracer {
     pub fn lane(self: &Arc<Self>) -> Arc<Lane> {
         LANE_CACHE.with(|cache| {
             let mut cache = cache.borrow_mut();
-            cache.retain(|(t, _)| t.strong_count() > 0);
-            for (t, lane) in cache.iter() {
-                if let Some(t) = t.upgrade() {
-                    if Arc::ptr_eq(&t, self) {
-                        return Arc::clone(lane);
-                    }
-                }
+            let me = Arc::as_ptr(self);
+            if let Some((_, lane)) = cache.iter().find(|(t, _)| t.as_ptr() == me) {
+                return Arc::clone(lane);
             }
+            cache.retain(|(t, _)| t.strong_count() > 0);
             let name = std::thread::current()
                 .name()
                 .map(str::to_string)
@@ -570,6 +588,12 @@ impl TraceSession {
         TraceReport::build(&self.tracer, self.workers)
     }
 
+    /// The `(work_ns, steps)` of [`TraceSession::report`], without the
+    /// rest of the aggregation — what per-job accounting charges.
+    pub fn work_and_steps(&self) -> (u64, u64) {
+        report::work_and_steps(&self.tracer)
+    }
+
     /// Chrome-trace JSON of everything recorded so far.
     pub fn chrome_trace(&self) -> String {
         self.tracer.chrome_trace()
@@ -629,6 +653,25 @@ mod tests {
         });
         assert_eq!(t.join().unwrap(), 1, "another thread gets its own lane");
         assert_eq!(a.lanes().len(), 2);
+    }
+
+    #[test]
+    fn lane_cache_forgets_dead_tracers() {
+        // A fresh thread, so the cache starts empty.
+        std::thread::spawn(|| {
+            let keep = Tracer::new();
+            let lane = keep.lane();
+            for _ in 0..100 {
+                let job = Tracer::new();
+                assert!(Arc::ptr_eq(&job.lane(), &job.lane()));
+            }
+            // Dead entries go when the next lane is registered: the
+            // long-lived tracer plus at most the last dead one remain.
+            assert_eq!(lane_cache_len(), (2, 1));
+            assert!(Arc::ptr_eq(&keep.lane(), &lane), "still cached");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

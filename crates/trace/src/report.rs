@@ -210,6 +210,29 @@ impl TraceReport {
     }
 }
 
+/// The `work_ns` and `steps` of [`TraceReport::build`] alone: no
+/// cross-lane window, span or wait pairing, events read in place.
+pub(crate) fn work_and_steps(tracer: &Tracer) -> (u64, u64) {
+    let (mut work_ns, mut steps) = (0u64, 0u64);
+    for lane in tracer.lanes() {
+        let (mut run, mut idle) = (Vec::new(), Vec::new());
+        lane.with_events(|events| {
+            for event in events {
+                let span = (event.t_ns, event.t_ns + event.dur_ns);
+                steps += u64::from(matches!(event.kind, EventKind::StepRun { .. }));
+                match event.kind {
+                    EventKind::StepRun { .. } | EventKind::TaskRun { .. } => run.push(span),
+                    EventKind::JoinWait | EventKind::Park => idle.push(span),
+                    _ => {}
+                }
+            }
+        });
+        let busy = subtract(merge(run), &merge(idle));
+        work_ns += busy.iter().map(|&(s, e)| e - s).sum::<u64>();
+    }
+    (work_ns, steps)
+}
+
 /// Sorts and unions a set of half-open intervals.
 fn merge(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     intervals.sort_unstable();
@@ -380,10 +403,16 @@ mod tests {
         w1.record(EventKind::BlockedGet { instance: 7 }, 80, 0);
         w0.record(EventKind::Resume { instance: 7 }, 90, 0);
 
-        let report = TraceSession::with_tracer(tracer, 2).report();
+        let session = TraceSession::with_tracer(tracer, 2);
+        let report = session.report();
         assert_eq!(report.wall_ns, 100);
         // w0 busy: [0,40) u [60,100) = 80; w1 busy: [40,80) = 40.
         assert_eq!(report.work_ns, 120);
+        assert_eq!(
+            session.work_and_steps(),
+            (report.work_ns, report.steps),
+            "the accounting shortcut is the report's own two figures"
+        );
         // Both busy on [40,60)... w0 idle there. Busy counts:
         // [0,40): 1, [40,60): 1 (w1 only), [60,70): 2, [70,80): 2, [80,100): 1.
         // Span = time with <2 active = 40 + 20 + 20 = 80.
