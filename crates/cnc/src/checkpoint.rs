@@ -33,6 +33,8 @@ use std::any::Any;
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use crate::runtime::{CncGraph, RuntimeCore};
+
 /// A type-erased snapshot of one item collection's ready entries
 /// (`Arc<Vec<(K, V)>>` behind `dyn Any`), restored by the matching
 /// collection when it is re-created on a resumed graph.
@@ -85,5 +87,151 @@ impl std::fmt::Debug for Checkpoint {
             .field("items", &self.items())
             .field("executed_steps", &self.executed_steps())
             .finish()
+    }
+}
+
+impl CncGraph {
+    /// Snapshots the graph's progress as a [`Checkpoint`]: every ready
+    /// item of every collection plus the set of completed data-producing
+    /// steps (see [`crate::checkpoint`] for why that pair is a consistent
+    /// cut). In-flight instances are drained first (bounded wait, skipped
+    /// for managed graphs where nothing runs concurrently with the
+    /// caller), so no step body is mid-execution while the snapshot is
+    /// taken. Call after an aborted `wait` (deadline, cancellation,
+    /// worker loss) and install the result on a *fresh* graph with
+    /// [`CncGraph::resume_from`].
+    pub fn checkpoint(&self) -> Checkpoint {
+        self.drain();
+        let items: Vec<ItemSnapshot> = self
+            .core
+            .live_collections()
+            .iter()
+            .filter_map(|c| c.snapshot())
+            .collect();
+        let mut executed: HashSet<(&'static str, u64)> = HashSet::new();
+        for shard in &self.core.executed_log {
+            executed.extend(shard.lock().iter().copied());
+        }
+        if let Some(skips) = self.core.skip_set.get() {
+            // Checkpointing a *resumed* graph carries the inherited skip
+            // set forward: those steps are still completed.
+            executed.extend(skips.iter().copied());
+        }
+        Checkpoint { items, executed }
+    }
+
+    /// Installs `checkpoint` on this graph: item collections created
+    /// afterwards are pre-seeded with the snapshotted ready items
+    /// (counted in [`crate::GraphStats::items_restored`]), and step instances
+    /// the checkpoint records as completed retire without executing
+    /// their bodies (counted in [`crate::GraphStats::steps_skipped`]).
+    ///
+    /// Call it on a fresh graph *before* creating any collection, then
+    /// re-register the same collections, steps, and environment puts as
+    /// the original run and call [`CncGraph::wait`]: only unproduced
+    /// steps re-execute, and single assignment guarantees the result is
+    /// bit-identical to an uninterrupted run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a collection was already created on this graph, or if
+    /// called twice.
+    pub fn resume_from(&self, checkpoint: &Checkpoint) {
+        assert!(
+            self.core.spec.lock().is_empty(),
+            "resume_from must be called before any collection is created"
+        );
+        assert!(
+            self.core
+                .skip_set
+                .set(Arc::new(checkpoint.executed.clone()))
+                .is_ok(),
+            "resume_from called twice on the same graph"
+        );
+        let mut seeds = self.core.resume_seeds.lock();
+        for snap in &checkpoint.items {
+            seeds.insert(snap.name, snap.clone());
+        }
+    }
+}
+
+impl RuntimeCore {
+    /// Removes and returns the resume seed for collection `name`, if a
+    /// checkpoint installed one (type-erased `Arc<Vec<(K, V)>>`).
+    pub(crate) fn take_resume_seed(
+        &self,
+        name: &'static str,
+    ) -> Option<Arc<dyn Any + Send + Sync>> {
+        self.resume_seeds.lock().remove(name).map(|s| s.data)
+    }
+
+    /// True when an installed checkpoint records this instance as
+    /// already completed (its body must not run again).
+    pub(crate) fn should_skip(&self, step: &'static str, tag_hash: u64) -> bool {
+        self.skip_set
+            .get()
+            .is_some_and(|s| s.contains(&(step, tag_hash)))
+    }
+}
+
+#[cfg(test)]
+mod checkpoint_log_tests {
+    use super::*;
+    use crate::retry::jitter_mix;
+    use crate::StepOutcome;
+    use parking_lot::Mutex;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    /// The completed-step log is appended per shard on the step path
+    /// and only folded into a set by `checkpoint()`. On 64 seeded
+    /// managed schedules, each cut short after a seed-dependent number
+    /// of executions, the fold must be exactly the set of leaf steps
+    /// whose bodies ran to completion — no expansion step (it put
+    /// tags), no blocked execution (it did not complete), nothing lost
+    /// between shards.
+    #[test]
+    fn checkpoint_records_exactly_the_completed_leaves_on_64_schedules() {
+        for seed in 0..64u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let (g, h) = CncGraph::managed(Box::new(move |ready| {
+                state = jitter_mix(state);
+                state as usize % ready.len()
+            }));
+            let cells = g.item_collection::<u32, u32>("cells");
+            let calls = g.tag_collection::<u32>("calls");
+            let done = Arc::new(Mutex::new(Vec::new()));
+            let (c, t, d) = (cells.clone(), calls.clone(), Arc::clone(&done));
+            // Tags 1..16 expand a binary tree; leaves 16..32 form a
+            // chain through `cells`, so most orders block some of them.
+            calls.prescribe("node", move |&n, scope| {
+                if n < 16 {
+                    t.put(2 * n);
+                    t.put(2 * n + 1);
+                    return Ok(StepOutcome::Done);
+                }
+                let prev = if n > 16 { c.get(scope, &(n - 1))? } else { 0 };
+                c.put(n, prev + 1)?;
+                d.lock().push(n);
+                Ok(StepOutcome::Done)
+            });
+            calls.put(1);
+            for _ in 0..seed % 48 {
+                h.run_one();
+            }
+            let expected: HashSet<(&'static str, u64)> = done
+                .lock()
+                .iter()
+                .map(|n: &u32| {
+                    let mut hasher = DefaultHasher::new();
+                    n.hash(&mut hasher);
+                    ("node", hasher.finish())
+                })
+                .collect();
+            assert_eq!(g.checkpoint().executed, expected, "seed {seed}");
+            // Run to the end: every leaf, still no expansion step.
+            g.wait().unwrap();
+            assert_eq!(g.checkpoint().executed_steps(), 16, "seed {seed}");
+        }
     }
 }

@@ -195,6 +195,14 @@ pub enum CncError {
         /// Debug rendering of the duplicated key.
         key: String,
     },
+    /// A key outside the extent its grid item collection was created
+    /// with (see [`crate::CncGraph::grid_item_collection`]).
+    KeyOutOfExtent {
+        /// Name of the item collection.
+        collection: &'static str,
+        /// Debug rendering of the offending key.
+        key: String,
+    },
     /// Execution reached quiescence while step instances were still
     /// parked on items nobody produced.
     Deadlock {
@@ -245,6 +253,9 @@ impl fmt::Display for CncError {
         match self {
             CncError::SingleAssignmentViolation { collection, key } => {
                 write!(f, "single-assignment violation in [{collection}] at key {key}")
+            }
+            CncError::KeyOutOfExtent { collection, key } => {
+                write!(f, "key {key} is outside the extent of grid collection [{collection}]")
             }
             CncError::Deadlock { blocked_instances, diagnostic } => {
                 write!(

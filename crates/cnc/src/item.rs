@@ -1,5 +1,16 @@
 //! Item collections: single-assignment associative containers with
 //! blocking-get semantics.
+//!
+//! An item is a [`Slot`]; what a collection adds is the way from a key
+//! to its slot. There are two, chosen by what the caller knows about
+//! its key space: a pre-sized grid of slots indexed by the key
+//! ([`CncGraph::grid_item_collection`](crate::CncGraph::grid_item_collection):
+//! no hashing, no lock, nothing shared between two keys), and a sharded
+//! hash map that grows a slot per key on demand
+//! ([`CncGraph::item_collection`](crate::CncGraph::item_collection)).
+//! Everything else — put, the gets, dependency declarations, the
+//! runtime's hooks — is written once over the three operations of
+//! [`Store`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -10,25 +21,166 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::checkpoint::ItemSnapshot;
+use crate::diagnostic::ProbeWait;
 use crate::error::{CncError, StepAbort};
 use crate::fault::PutAction;
-use crate::runtime::{
-    note_body_put, CollectionHooks, Countdown, ProbeWait, RuntimeCore, SpecLine, StepScope,
-};
+use crate::hot::{note_body_put, resume, InstanceRef, ParkStore, SlotAddr, StepScope};
+use crate::runtime::{CollectionHooks, RuntimeCore, SpecLine};
+use crate::slot::Slot;
+
+/// The key is outside a grid store's extent.
+struct OutOfExtent;
+
+/// The way from keys to slots. A slot, once handed out, stays where it
+/// is for as long as the store lives (declared dependencies keep its
+/// address, see [`ParkStore`]).
+trait Store<K, V>: Send + Sync {
+    /// The slot of `key`, if the store has one.
+    fn find(&self, key: &K) -> Result<Option<&Slot<V>>, OutOfExtent>;
+    /// The slot of `key`; a store that grows on demand adds an empty one.
+    fn find_or_add(&self, key: &K) -> Result<&Slot<V>, OutOfExtent>;
+    /// Every slot the store has, with its key.
+    fn for_each(&self, visit: &mut dyn FnMut(K, &Slot<V>));
+}
+
+/// A key of a grid collection: up to three `u32` coordinates, each
+/// ranging over `0..extent`. Implemented for `u32`, `(u32, u32)` and
+/// `(u32, u32, u32)`.
+pub trait GridKey: Hash + Eq + Copy + Debug + Send + Sync + 'static + sealed::Sealed {
+    #[doc(hidden)]
+    fn coordinates(self) -> [u32; 3];
+    #[doc(hidden)]
+    fn from_coordinates(c: [u32; 3]) -> Self;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for u32 {}
+    impl Sealed for (u32, u32) {}
+    impl Sealed for (u32, u32, u32) {}
+}
+
+impl GridKey for u32 {
+    fn coordinates(self) -> [u32; 3] {
+        [self, 0, 0]
+    }
+    fn from_coordinates(c: [u32; 3]) -> Self {
+        c[0]
+    }
+}
+
+impl GridKey for (u32, u32) {
+    fn coordinates(self) -> [u32; 3] {
+        [self.0, self.1, 0]
+    }
+    fn from_coordinates(c: [u32; 3]) -> Self {
+        (c[0], c[1])
+    }
+}
+
+impl GridKey for (u32, u32, u32) {
+    fn coordinates(self) -> [u32; 3] {
+        [self.0, self.1, self.2]
+    }
+    fn from_coordinates(c: [u32; 3]) -> Self {
+        (c[0], c[1], c[2])
+    }
+}
+
+/// One slot per key of the extent, row-major.
+struct GridStore<V> {
+    /// Size of each coordinate (1 for the ones the key type lacks).
+    extent: [usize; 3],
+    slots: Box<[Slot<V>]>,
+}
+
+impl<V> GridStore<V> {
+    fn new<K: GridKey>(name: &'static str, extent: K) -> Self {
+        let extent = extent.coordinates().map(|n| n.max(1) as usize);
+        let cells = extent
+            .iter()
+            .try_fold(1usize, |cells, &n| cells.checked_mul(n))
+            .unwrap_or_else(|| panic!("extent of grid collection [{name}] overflows usize"));
+        GridStore {
+            extent,
+            slots: (0..cells).map(|_| Slot::empty()).collect(),
+        }
+    }
+}
+
+impl<K: GridKey, V: Send + Sync> Store<K, V> for GridStore<V> {
+    fn find(&self, key: &K) -> Result<Option<&Slot<V>>, OutOfExtent> {
+        self.find_or_add(key).map(Some)
+    }
+
+    fn find_or_add(&self, key: &K) -> Result<&Slot<V>, OutOfExtent> {
+        let [e0, e1, e2] = self.extent;
+        let [c0, c1, c2] = key.coordinates().map(|c| c as usize);
+        if c0 < e0 && c1 < e1 && c2 < e2 {
+            Ok(&self.slots[(c0 * e1 + c1) * e2 + c2])
+        } else {
+            Err(OutOfExtent)
+        }
+    }
+
+    fn for_each(&self, visit: &mut dyn FnMut(K, &Slot<V>)) {
+        let [_, e1, e2] = self.extent;
+        for (at, slot) in self.slots.iter().enumerate() {
+            let c = [at / (e1 * e2), at / e2 % e1, at % e2];
+            visit(K::from_coordinates(c.map(|c| c as u32)), slot);
+        }
+    }
+}
 
 const SHARDS: usize = 16;
 
-enum Entry<V> {
-    /// The item has been put; single assignment forbids a second put.
-    Ready(V),
-    /// Not yet put; countdowns of parked step instances wait here.
-    Waiting(Vec<Arc<Countdown>>),
+/// A slot per key that was ever named, in a sharded map. The slots are
+/// boxed, so they stay put when a map grows, and never removed.
+struct HashedStore<K, V> {
+    shards: Vec<Mutex<HashMap<K, Box<Slot<V>>>>>,
+}
+
+impl<K: Hash, V> HashedStore<K, V> {
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Box<Slot<V>>>> {
+        &self.shards[(key_hash(key) as usize) % SHARDS]
+    }
+}
+
+impl<K, V> Store<K, V> for HashedStore<K, V>
+where
+    K: Hash + Eq + Clone + Send + Sync,
+    V: Send + Sync,
+{
+    fn find(&self, key: &K) -> Result<Option<&Slot<V>>, OutOfExtent> {
+        let slot = self.shard(key).lock().get(key).map(|b| &**b as *const _);
+        // SAFETY: a box in the map is freed only with the store, which
+        // `&self` outlives; the map moving the box does not move the slot.
+        Ok(slot.map(|slot| unsafe { &*slot }))
+    }
+
+    fn find_or_add(&self, key: &K) -> Result<&Slot<V>, OutOfExtent> {
+        let mut map = self.shard(key).lock();
+        let slot: *const Slot<V> = match map.get(key) {
+            Some(slot) => &**slot,
+            None => &**map.entry(key.clone()).or_insert(Box::new(Slot::empty())),
+        };
+        // SAFETY: as in `find`.
+        Ok(unsafe { &*slot })
+    }
+
+    fn for_each(&self, visit: &mut dyn FnMut(K, &Slot<V>)) {
+        for shard in &self.shards {
+            for (key, slot) in shard.lock().iter() {
+                visit(key.clone(), slot);
+            }
+        }
+    }
 }
 
 struct ItemInner<K, V> {
     name: &'static str,
     core: Arc<RuntimeCore>,
-    shards: Vec<Mutex<HashMap<K, Entry<V>>>>,
+    store: Box<dyn Store<K, V>>,
 }
 
 impl<K, V> CollectionHooks for ItemInner<K, V>
@@ -37,31 +189,27 @@ where
     V: Clone + Send + Sync + 'static,
 {
     fn parked(&self, out: &mut Vec<ProbeWait>) {
-        for shard in &self.shards {
-            for (key, entry) in shard.lock().iter() {
-                if let Entry::Waiting(waiters) = entry {
-                    out.extend(waiters.iter().map(|w| ProbeWait {
-                        instance: w.instance_id(),
-                        step: w.step_name(),
-                        collection: self.name,
-                        key: format!("{key:?}"),
-                    }));
-                }
-            }
-        }
+        self.store.for_each(&mut |key, slot| {
+            slot.for_each_parked(|waiter| {
+                out.push(ProbeWait {
+                    instance: waiter.id(),
+                    step: waiter.step_name,
+                    collection: self.name,
+                    key: format!("{key:?}"),
+                })
+            })
+        });
     }
 
     /// Single assignment makes any quiescent snapshot a consistent cut:
     /// ready items are immutable once put.
     fn snapshot(&self) -> Option<ItemSnapshot> {
         let mut ready: Vec<(K, V)> = Vec::new();
-        for shard in &self.shards {
-            for (key, entry) in shard.lock().iter() {
-                if let Entry::Ready(v) = entry {
-                    ready.push((key.clone(), v.clone()));
-                }
+        self.store.for_each(&mut |key, slot| {
+            if let Some(v) = slot.get() {
+                ready.push((key, v.clone()));
             }
-        }
+        });
         Some(ItemSnapshot {
             name: self.name,
             len: ready.len(),
@@ -70,19 +218,24 @@ where
     }
 
     /// Forgets every parked instance (ready items stay readable),
-    /// dropping them after the shard locks are released: their bodies
-    /// may own the last handles to other collections.
+    /// dropping them only after the scan: their bodies may own the last
+    /// handles to other collections.
     fn teardown(&self) {
         let mut parked = Vec::new();
-        for shard in &self.shards {
-            shard.lock().retain(|_, entry| match entry {
-                Entry::Ready(_) => true,
-                Entry::Waiting(waiters) => {
-                    parked.append(waiters);
-                    false
-                }
-            });
-        }
+        self.store
+            .for_each(&mut |_, slot| parked.extend(slot.take_parked()));
+    }
+}
+
+impl<K: Send + Sync, V: Send + Sync> ParkStore for ItemInner<K, V> {
+    unsafe fn is_ready(&self, slot: SlotAddr) -> bool {
+        // SAFETY (both): by the caller's contract `slot` is a slot of
+        // `self.store`, which keeps its slots in place while it lives.
+        unsafe { slot.cast::<Slot<V>>().as_ref() }.is_ready()
+    }
+
+    unsafe fn park(&self, slot: SlotAddr, inst: InstanceRef) -> Result<(), InstanceRef> {
+        unsafe { slot.cast::<Slot<V>>().as_ref() }.park(inst)
     }
 }
 
@@ -112,8 +265,18 @@ where
     V: Clone + Send + Sync + 'static,
 {
     pub(crate) fn new(name: &'static str, core: Arc<RuntimeCore>) -> Self {
-        let shards: Vec<Mutex<HashMap<K, Entry<V>>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        let shards = (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        Self::with_store(name, core, Box::new(HashedStore { shards }))
+    }
+
+    pub(crate) fn new_grid(name: &'static str, core: Arc<RuntimeCore>, extent: K) -> Self
+    where
+        K: GridKey,
+    {
+        Self::with_store(name, core, Box::new(GridStore::new(name, extent)))
+    }
+
+    fn with_store(name: &'static str, core: Arc<RuntimeCore>, store: Box<dyn Store<K, V>>) -> Self {
         // Resume: if a checkpoint installed via `CncGraph::resume_from`
         // snapshotted a collection of this name, pre-seed its ready
         // items before any step can get them. The seed is counted in
@@ -126,25 +289,17 @@ where
                 )
             });
             for (key, value) in seed.iter() {
-                let mut h = DefaultHasher::new();
-                key.hash(&mut h);
-                let shard = &shards[(h.finish() as usize) % SHARDS];
-                shard
-                    .lock()
-                    .insert(key.clone(), Entry::Ready(value.clone()));
+                let Ok(slot) = store.find_or_add(key) else {
+                    panic!("resume seed for collection [{name}] has key {key:?} outside its extent")
+                };
+                let _ = slot.put(value.clone());
                 crate::stats::bump(&core.stats.items_restored);
             }
         }
-        let inner = Arc::new(ItemInner { name, core, shards });
+        let inner = Arc::new(ItemInner { name, core, store });
         let hooks = Arc::downgrade(&inner);
         inner.core.register_collection(SpecLine::Items(name), hooks);
         Self { inner }
-    }
-
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Entry<V>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.inner.shards[(h.finish() as usize) % SHARDS]
     }
 
     /// Collection name (diagnostics).
@@ -152,62 +307,55 @@ where
         self.inner.name
     }
 
+    fn out_of_extent(&self, key: &K) -> CncError {
+        CncError::KeyOutOfExtent {
+            collection: self.inner.name,
+            key: format!("{key:?}"),
+        }
+    }
+
     /// Puts an item. Callable from steps and from the environment.
     ///
     /// Returns [`CncError::SingleAssignmentViolation`] (also recorded on
     /// the graph) if the key was already put — the dynamic check the
-    /// Intel C++ runtime performs.
+    /// Intel C++ runtime performs — and [`CncError::KeyOutOfExtent`]
+    /// (likewise) for a key outside a grid collection's extent.
     pub fn put(&self, key: K, value: V) -> Result<(), CncError> {
+        let core = &self.inner.core;
         // Fault hook: an installed injector may delay this put or drop it
         // outright (the item is never delivered — parked consumers stay
         // blocked and show up in the deadlock diagnostic).
-        if let Some(injector) = self.inner.core.injector() {
+        if let Some(injector) = core.injector() {
             match injector.on_put(self.inner.name, key_hash(&key)) {
                 PutAction::Deliver => {}
                 PutAction::Delay(d) => {
                     // A timing perturbation, not an outcome change: kept
                     // out of the replay-stable `faults_injected`.
-                    self.inner.core.count_injected_delay();
+                    core.count_injected_delay();
                     std::thread::sleep(d);
                 }
                 PutAction::Drop => {
-                    self.inner.core.count_injected_fault();
+                    core.count_injected_fault();
                     return Ok(());
                 }
             }
         }
-        let waiters = {
-            let mut map = self.shard(&key).lock();
-            match map.get_mut(&key) {
-                Some(Entry::Ready(_)) => {
-                    let err = CncError::SingleAssignmentViolation {
-                        collection: self.inner.name,
-                        key: format!("{key:?}"),
-                    };
-                    self.inner.core.record_error(err.clone());
-                    return Err(err);
-                }
-                Some(entry @ Entry::Waiting(_)) => {
-                    let Entry::Waiting(waiters) = std::mem::replace(entry, Entry::Ready(value))
-                    else {
-                        unreachable!()
-                    };
-                    waiters
-                }
-                None => {
-                    map.insert(key, Entry::Ready(value));
-                    Vec::new()
-                }
-            }
+        let put = match self.inner.store.find_or_add(&key) {
+            Ok(slot) => slot
+                .put(value)
+                .map_err(|_| CncError::SingleAssignmentViolation {
+                    collection: self.inner.name,
+                    key: format!("{key:?}"),
+                }),
+            Err(OutOfExtent) => Err(self.out_of_extent(&key)),
         };
-        crate::stats::bump(&self.inner.core.stats.items_put);
+        let waiters = put.inspect_err(|err| core.record_error(err.clone()))?;
+        crate::stats::bump(&core.stats.items_put);
         // Record the delivered put against the step body executing on
         // this thread, if any: a transient failure returned after it
         // cannot be retried (the retry would re-put).
         note_body_put();
-        for w in waiters {
-            w.fire();
-        }
+        waiters.for_each(resume);
         Ok(())
     }
 
@@ -216,32 +364,19 @@ where
     /// item's wait list and returns [`StepAbort::Blocked`], which the
     /// step body propagates with `?`. The instance re-executes from
     /// scratch once the item is put (abort-and-retry, as in Intel CnC).
+    /// A key outside a grid collection's extent fails the step with
+    /// [`CncError::KeyOutOfExtent`] as the failure's source.
     pub fn get(&self, scope: &StepScope<'_>, key: &K) -> Result<V, StepAbort> {
-        let mut map = self.shard(key).lock();
-        match map.get_mut(key) {
-            Some(Entry::Ready(v)) => {
-                let v = v.clone();
-                drop(map);
-                crate::stats::bump(&self.inner.core.stats.gets_ok);
-                Ok(v)
-            }
-            Some(Entry::Waiting(waiters)) => {
-                let w = scope.waiter();
-                w.add();
-                waiters.push(w);
-                drop(map);
-                crate::stats::bump(&self.inner.core.stats.gets_blocked);
-                Err(StepAbort::Blocked)
-            }
-            None => {
-                let w = scope.waiter();
-                w.add();
-                map.insert(key.clone(), Entry::Waiting(vec![w]));
-                drop(map);
-                crate::stats::bump(&self.inner.core.stats.gets_blocked);
-                Err(StepAbort::Blocked)
-            }
+        let slot = match self.inner.store.find_or_add(key) {
+            Ok(slot) => slot,
+            Err(OutOfExtent) => return Err(self.out_of_extent(key).into()),
+        };
+        if slot.get().is_none() && scope.park_on(slot) {
+            crate::stats::bump(&self.inner.core.stats.gets_blocked);
+            return Err(StepAbort::Blocked);
         }
+        scope.count_get_ok();
+        Ok(slot.get().expect("not parked: the item is there").clone())
     }
 
     /// Non-blocking get from inside a step (Sec. IV's alternative to the
@@ -262,53 +397,48 @@ where
     /// Non-destructive read from the environment (or tests): returns the
     /// value if the item has been put, without any parking.
     pub fn get_env(&self, key: &K) -> Option<V> {
-        let map = self.shard(key).lock();
-        match map.get(key) {
-            Some(Entry::Ready(v)) => Some(v.clone()),
-            _ => None,
-        }
+        let slot = self.inner.store.find(key).ok().flatten()?;
+        slot.get().cloned()
     }
 
     /// True if the item has been put.
     pub fn contains(&self, key: &K) -> bool {
-        matches!(self.shard(key).lock().get(key), Some(Entry::Ready(_)))
+        matches!(self.inner.store.find(key), Ok(Some(slot)) if slot.is_ready())
     }
 
     /// Number of *ready* items (diagnostics; O(collection)).
     pub fn len_ready(&self) -> usize {
+        let mut ready = 0;
         self.inner
-            .shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .values()
-                    .filter(|e| matches!(e, Entry::Ready(_)))
-                    .count()
-            })
-            .sum()
+            .store
+            .for_each(&mut |_, slot| ready += usize::from(slot.is_ready()));
+        ready
     }
 
-    /// Registers `countdown` on `key` if the item is not yet ready
-    /// (pre-scheduling / tuner path). No-op when the item already exists.
-    pub(crate) fn register_if_missing(&self, key: &K, countdown: &Arc<Countdown>) {
-        let mut map = self.shard(key).lock();
-        match map.get_mut(key) {
-            Some(Entry::Ready(_)) => {}
-            Some(Entry::Waiting(waiters)) => {
-                countdown.add();
-                waiters.push(Arc::clone(countdown));
-            }
-            None => {
-                countdown.add();
-                map.insert(key.clone(), Entry::Waiting(vec![Arc::clone(countdown)]));
-            }
+    /// This collection as a declared dependency names it. The handle
+    /// is made (cloned) only when `known` is not already this one.
+    pub(crate) fn park_store(
+        &self,
+        known: Option<&Arc<dyn ParkStore>>,
+    ) -> Option<Arc<dyn ParkStore>> {
+        let this = Arc::as_ptr(&self.inner) as *const ();
+        let same = known.is_some_and(|k| Arc::as_ptr(k) as *const () == this);
+        (!same).then(|| Arc::clone(&self.inner) as Arc<dyn ParkStore>)
+    }
+
+    /// The address of `key`'s slot, for [`ParkStore`].
+    pub(crate) fn slot_address(&self, key: &K) -> Result<SlotAddr, CncError> {
+        match self.inner.store.find_or_add(key) {
+            Ok(slot) => Ok(std::ptr::NonNull::from(slot).cast()),
+            Err(OutOfExtent) => Err(self.out_of_extent(key)),
         }
     }
 }
 
-/// Deterministic key hash handed to the fault hook: `DefaultHasher::new`
-/// uses fixed keys, so the same item key yields the same hash in every
-/// run — required for replayable seeded fault plans.
+/// Deterministic key hash (shard choice, and the identity handed to the
+/// fault hook): `DefaultHasher::new` uses fixed keys, so the same item
+/// key yields the same hash in every run — required for replayable
+/// seeded fault plans.
 fn key_hash<K: Hash>(key: &K) -> u64 {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);

@@ -58,22 +58,28 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+mod diagnostic;
 mod error;
 mod fault;
+mod hot;
 mod item;
 mod managed;
+mod retry;
 mod runtime;
+mod slot;
 mod stats;
 mod tag;
 
 pub use checkpoint::Checkpoint;
 pub use error::{BlockedWait, CncError, DeadlockDiagnostic, FailureKind, StepAbort, StepFailure};
 pub use fault::{CellFlip, CorruptionSite, FaultAction, FaultInjector, FaultSite, PutAction};
-pub use item::ItemCollection;
+pub use hot::StepScope;
+pub use item::{GridKey, ItemCollection};
 pub use managed::{ManagedHandle, PickFn, ReadyTask, ScheduleEvent};
-pub use runtime::{BackoffKind, CancelToken, CncGraph, DepSet, RetryPolicy, StepScope};
+pub use retry::{BackoffKind, RetryPolicy};
+pub use runtime::{CancelToken, CncGraph};
 pub use stats::GraphStats;
-pub use tag::TagCollection;
+pub use tag::{DepSet, TagCollection};
 
 /// What a step body reports when it runs to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

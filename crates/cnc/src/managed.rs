@@ -39,6 +39,9 @@
 
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
+use crate::hot::InstanceRef;
 use crate::runtime::{CncGraph, RuntimeCore};
 
 /// One entry of the managed ready queue, as shown to the scheduler.
@@ -124,12 +127,98 @@ impl ManagedHandle {
     }
 }
 
+/// The managed scheduler's state: the ready queue, the pick callback,
+/// and the schedule trace (one event per executed instance, in order).
+pub(crate) struct ManagedState {
+    pub(crate) queue: Mutex<Vec<InstanceRef>>,
+    pub(crate) picker: Mutex<PickFn>,
+    pub(crate) trace: Mutex<Vec<ScheduleEvent>>,
+}
+
+impl ManagedState {
+    pub(crate) fn new(picker: PickFn) -> Self {
+        ManagedState {
+            queue: Mutex::new(Vec::new()),
+            picker: Mutex::new(picker),
+            trace: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl RuntimeCore {
+    /// Snapshot of the managed ready queue, in queue order.
+    pub(crate) fn managed_ready(&self) -> Vec<ReadyTask> {
+        let m = self.managed.as_ref().expect("not a managed graph");
+        m.queue
+            .lock()
+            .iter()
+            .map(|t| ReadyTask {
+                step: t.step_name,
+                tag_hash: t.tag_hash,
+            })
+            .collect()
+    }
+
+    /// The schedule executed so far (managed graphs only).
+    pub(crate) fn managed_trace(&self) -> Vec<ScheduleEvent> {
+        let m = self.managed.as_ref().expect("not a managed graph");
+        m.trace.lock().clone()
+    }
+
+    /// Runs one ready instance chosen by the installed picker. Returns
+    /// false if the ready queue is empty.
+    pub(crate) fn run_managed_one(self: &Arc<Self>) -> bool {
+        let m = self.managed.as_ref().expect("not a managed graph");
+        let idx = {
+            let q = m.queue.lock();
+            if q.is_empty() {
+                return false;
+            }
+            let ready: Vec<ReadyTask> = q
+                .iter()
+                .map(|t| ReadyTask {
+                    step: t.step_name,
+                    tag_hash: t.tag_hash,
+                })
+                .collect();
+            drop(q);
+            (m.picker.lock())(&ready)
+        };
+        self.run_managed_nth(idx)
+    }
+
+    /// Runs the `idx`-th queued instance (queue order), bypassing the
+    /// picker. Returns false if the queue is empty; panics on an
+    /// out-of-range index (a scheduler bug worth failing loudly on).
+    pub(crate) fn run_managed_nth(self: &Arc<Self>, idx: usize) -> bool {
+        let m = self.managed.as_ref().expect("not a managed graph");
+        let task = {
+            let mut q = m.queue.lock();
+            if q.is_empty() {
+                return false;
+            }
+            assert!(
+                idx < q.len(),
+                "scheduler picked instance {idx} of a {}-deep ready queue",
+                q.len()
+            );
+            q.remove(idx)
+        };
+        m.trace.lock().push(ScheduleEvent {
+            step: task.step_name,
+            tag_hash: task.tag_hash,
+        });
+        task.run();
+        true
+    }
+}
+
 impl CncGraph {
     /// A managed graph: no worker threads; `picker` owns every
     /// ready-task choice and [`CncGraph::wait`] (or the returned
     /// [`ManagedHandle`]) drives execution inline. See the module docs.
     pub fn managed(picker: PickFn) -> (CncGraph, ManagedHandle) {
-        let core = RuntimeCore::build(std::sync::Weak::new(), Some(picker));
+        let core = RuntimeCore::build(None, Some(picker));
         let handle = ManagedHandle {
             core: Arc::clone(&core),
         };

@@ -2,39 +2,41 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::RwLock;
-use recdp_trace::StepId;
+use parking_lot::Mutex;
 
-use crate::runtime::{
-    note_body_put, note_body_tag_put, CollectionHooks, Countdown, DepSet, InstanceTask,
-    RuntimeCore, SpecLine, StepScope,
+use crate::error::CncError;
+use crate::hot::{
+    note_body_put, note_body_tag_put, resume, DepEntry, InstanceRef, ParkStore, Prescription,
+    StepScope,
 };
+use crate::item::ItemCollection;
+use crate::runtime::{CollectionHooks, RuntimeCore, SpecLine};
 use crate::StepResult;
 
-type StepBody<T> = Arc<dyn Fn(&T, &StepScope) -> StepResult + Send + Sync>;
-
-struct Prescription<T> {
-    step_name: &'static str,
-    /// `step_name` interned in the graph's tracer, on first use.
-    trace_step: OnceLock<StepId>,
-    body: StepBody<T>,
-}
+/// The prescriptions as tag puts read them.
+type Frozen<T> = Box<[Weak<Prescription<T>>]>;
 
 struct TagInner<T> {
     name: &'static str,
     core: Arc<RuntimeCore>,
-    /// `None` once the graph handle dropped: its teardown releases the
-    /// bodies, and later puts find nothing to run.
-    prescriptions: RwLock<Option<Vec<Prescription<T>>>>,
+    /// The prescribed steps, owned here. `None` once the graph handle
+    /// dropped: its teardown releases the bodies, and later puts find
+    /// nothing to run.
+    prescribed: Mutex<Option<Vec<Arc<Prescription<T>>>>>,
+    /// `prescribed` as of the first tag put, which is what puts read —
+    /// no lock. Weak, so that releasing `prescribed` releases the
+    /// bodies; `None` if the graph was dropped before any put.
+    frozen: OnceLock<Option<Frozen<T>>>,
 }
 
 impl<T: Send + Sync> CollectionHooks for TagInner<T> {
     fn teardown(&self) {
         // Dropped after the lock is released: the bodies may own the
         // last handles to other collections.
-        let released = self.prescriptions.write().take();
+        let released = self.prescribed.lock().take();
         drop(released);
     }
 }
@@ -62,7 +64,8 @@ where
         let inner = Arc::new(TagInner {
             name,
             core,
-            prescriptions: RwLock::new(Some(Vec::new())),
+            prescribed: Mutex::new(Some(Vec::new())),
+            frozen: OnceLock::new(),
         });
         let hooks = Arc::downgrade(&inner);
         inner.core.register_collection(SpecLine::Tags(name), hooks);
@@ -74,30 +77,56 @@ where
         self.inner.name
     }
 
-    /// Prescribes a step collection: every tag put after this call
-    /// creates an instance of `body` bound to that tag. `body` receives
-    /// the tag and a [`StepScope`] for blocking gets, and returns a
-    /// [`StepResult`].
+    /// Prescribes a step collection: every tag put creates an instance
+    /// of `body` bound to that tag. `body` receives the tag and a
+    /// [`StepScope`] for blocking gets, and returns a [`StepResult`].
+    ///
+    /// # Panics
+    ///
+    /// The prescriptions are frozen at the collection's first put (puts
+    /// read them without a lock): prescribing after it panics.
     pub fn prescribe<F>(&self, step_name: &'static str, body: F) -> &Self
     where
         F: Fn(&T, &StepScope) -> StepResult + Send + Sync + 'static,
     {
-        if let Some(prescriptions) = self.inner.prescriptions.write().as_mut() {
-            prescriptions.push(Prescription {
+        let mut prescribed = self.inner.prescribed.lock();
+        assert!(
+            self.inner.frozen.get().is_none(),
+            "step collections must be prescribed before the first put into <{}>",
+            self.inner.name
+        );
+        if let Some(prescribed) = prescribed.as_mut() {
+            prescribed.push(Arc::new(Prescription {
                 step_name,
                 trace_step: OnceLock::new(),
-                body: Arc::new(body),
-            });
+                body: Box::new(body),
+            }));
             let line = SpecLine::Prescribes(self.inner.name, step_name);
             self.inner.core.spec.lock().push(line);
         }
         self
     }
 
-    fn instances(&self, tag: &T) -> Vec<Arc<InstanceTask>> {
-        let prescriptions = self.inner.prescriptions.read();
-        let Some(prescriptions) = prescriptions.as_ref() else {
-            return Vec::new(); // graph dropped: like a put with the pool gone
+    /// Counts the tag put and creates one instance per prescribed step,
+    /// each with its own `deps()`, handing them to `launch`.
+    fn instances(&self, tag: &T, deps: impl Fn() -> Box<[DepEntry]>, launch: impl Fn(InstanceRef)) {
+        let core = &self.inner.core;
+        crate::stats::bump(&core.stats.tags_put);
+        // A tag put from inside a body spawns instances — re-executing
+        // the body would spawn them again, so it counts as a
+        // non-retryable side effect like an item put. It also marks the
+        // execution as expansion, which checkpoints never record as
+        // completed (see `crate::checkpoint`).
+        note_body_put();
+        note_body_tag_put();
+        let frozen = self.inner.frozen.get().unwrap_or_else(|| {
+            // First put: freeze under the lock `prescribe` checks under.
+            let prescribed = self.inner.prescribed.lock();
+            let freeze = || Some(prescribed.as_ref()?.iter().map(Arc::downgrade).collect());
+            self.inner.frozen.get_or_init(freeze)
+        });
+        let Some(prescriptions) = frozen else {
+            return; // graph dropped: like a put with the pool gone
         };
         assert!(
             !prescriptions.is_empty(),
@@ -110,37 +139,26 @@ where
         let mut h = DefaultHasher::new();
         tag.hash(&mut h);
         let tag_hash = h.finish();
-        prescriptions
-            .iter()
-            .map(|p| {
-                let body = Arc::clone(&p.body);
-                let tag = tag.clone();
-                InstanceTask::new(
-                    Arc::clone(&self.inner.core),
-                    p.step_name,
-                    &p.trace_step,
-                    tag_hash,
-                    Box::new(move |scope| body(&tag, scope)),
-                )
-            })
-            .collect()
+        // A prescription that no longer upgrades was released by the
+        // graph's teardown.
+        for prescription in prescriptions.iter().filter_map(Weak::upgrade) {
+            launch(InstanceRef::new(
+                core,
+                prescription,
+                tag.clone(),
+                tag_hash,
+                deps(),
+            ));
+        }
     }
 
     /// Puts a tag: prescribed step instances are dispatched immediately
     /// (Native-CnC behaviour — instances discover missing inputs via
     /// failed blocking gets and retry).
     pub fn put(&self, tag: T) {
-        crate::stats::bump(&self.inner.core.stats.tags_put);
-        // A tag put from inside a body spawns instances — re-executing
-        // the body would spawn them again, so it counts as a
-        // non-retryable side effect like an item put. It also marks the
-        // execution as expansion, which checkpoints never record as
-        // completed (see `crate::checkpoint`).
-        note_body_put();
-        note_body_tag_put();
-        for task in self.instances(&tag) {
-            task.enqueue();
-        }
+        self.instances(&tag, Box::default, |inst| {
+            self.inner.core.enqueue(inst, false)
+        });
     }
 
     /// Re-puts a tag from inside its own step after a failed
@@ -149,38 +167,156 @@ where
     /// wasted-work accounting (`nb_retries`).
     pub fn put_retry(&self, tag: T) {
         crate::stats::bump(&self.inner.core.stats.nb_retries);
-        crate::stats::bump(&self.inner.core.stats.tags_put);
-        note_body_put();
-        note_body_tag_put();
-        for task in self.instances(&tag) {
-            // Fair (global-injector) dispatch: a self-respawning step on
-            // a LIFO deque would otherwise be popped straight back and
-            // livelock a single-worker pool.
-            task.enqueue_fair();
-        }
+        // Fair (global-injector) dispatch: a self-respawning step on
+        // a LIFO deque would otherwise be popped straight back and
+        // livelock a single-worker pool.
+        self.instances(&tag, Box::default, |inst| {
+            self.inner.core.enqueue(inst, true)
+        });
     }
 
     /// Puts a tag with a declared dependency set: instances are parked
     /// until every item in `deps` has been put, then dispatched once —
     /// the pre-scheduling tuner of Sec. III-D (and, when the environment
     /// declares the whole computation up front, the Manual-CnC variant).
+    /// A set that named a key outside a grid collection's extent fails
+    /// the graph with that [`CncError::KeyOutOfExtent`] instead.
     pub fn put_when(&self, tag: T, deps: &DepSet) {
-        crate::stats::bump(&self.inner.core.stats.tags_put);
-        note_body_put();
-        note_body_tag_put();
-        for task in self.instances(&tag) {
-            let countdown = Countdown::arm(task);
-            deps.register_all(&countdown);
-            // Release the guard token: if all deps were already ready the
-            // instance dispatches right here.
-            countdown.fire();
+        let core = &self.inner.core;
+        if let Some(err) = &deps.error {
+            return core.record_error(err.clone());
         }
+        match deps.first_missing() {
+            // Nothing to wait for: the instance never counts as blocked.
+            None => self.put(tag),
+            Some((run, at)) => self.instances(
+                &tag,
+                // What the instance still has to check, under the
+                // collection of the run it starts in.
+                || {
+                    [&deps.entries[run..=run], &deps.entries[at..]]
+                        .concat()
+                        .into()
+                },
+                |inst| {
+                    core.blocked.fetch_add(1, Ordering::AcqRel);
+                    resume(inst);
+                },
+            ),
+        }
+    }
+}
+
+/// A declared dependency set for pre-scheduled instances — the tuner
+/// mechanism of Sec. III-D. Build one with [`DepSet::item`] calls, then
+/// pass it to `TagCollection::put_when`: the prescribed step will only
+/// be dispatched once every listed item exists, eliminating Native-CnC's
+/// abort-and-retry re-executions.
+#[derive(Default)]
+pub struct DepSet {
+    /// Run-length encoded: see [`DepEntry`].
+    entries: Vec<DepEntry>,
+    /// Index of the last `In` entry.
+    run: usize,
+    len: usize,
+    /// The first key that was outside its collection's extent.
+    error: Option<CncError>,
+}
+
+impl DepSet {
+    /// An empty dependency set (the step dispatches immediately).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds "item `key` of `collection` must exist" to the set.
+    pub fn item<K, V>(self, collection: &ItemCollection<K, V>, key: K) -> Self
+    where
+        K: std::hash::Hash + Eq + Clone + std::fmt::Debug + Send + Sync + 'static,
+        V: Clone + Send + Sync + 'static,
+    {
+        self.items(collection, [key])
+    }
+
+    /// [`DepSet::item`] for every key of `keys`.
+    pub fn items<K, V>(
+        mut self,
+        collection: &ItemCollection<K, V>,
+        keys: impl IntoIterator<Item = K>,
+    ) -> Self
+    where
+        K: std::hash::Hash + Eq + Clone + std::fmt::Debug + Send + Sync + 'static,
+        V: Clone + Send + Sync + 'static,
+    {
+        let keys = keys.into_iter();
+        self.entries.reserve(keys.size_hint().0 + 1);
+        let mut named = false;
+        for key in keys {
+            match collection.slot_address(&key) {
+                Ok(slot) => {
+                    if !std::mem::replace(&mut named, true) {
+                        self.name(collection);
+                    }
+                    self.entries.push(DepEntry::Slot(slot));
+                    self.len += 1;
+                }
+                Err(err) => {
+                    self.error.get_or_insert(err);
+                }
+            }
+        }
+        self
+    }
+
+    /// Starts a run of `collection`'s slots, unless one is open.
+    fn name<K, V>(&mut self, collection: &ItemCollection<K, V>)
+    where
+        K: std::hash::Hash + Eq + Clone + std::fmt::Debug + Send + Sync + 'static,
+        V: Clone + Send + Sync + 'static,
+    {
+        let open = match self.entries.get(self.run) {
+            Some(DepEntry::In(store)) => Some(store),
+            _ => None,
+        };
+        if let Some(store) = collection.park_store(open) {
+            self.run = self.entries.len();
+            self.entries.push(DepEntry::In(store));
+        }
+    }
+
+    /// Number of declared dependencies.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no dependencies are declared.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The first dependency whose item is missing: the index of its
+    /// run's `In` entry and its own.
+    fn first_missing(&self) -> Option<(usize, usize)> {
+        let mut current: Option<(usize, &Arc<dyn ParkStore>)> = None;
+        for (at, entry) in self.entries.iter().enumerate() {
+            match (entry, current) {
+                (DepEntry::In(store), _) => current = Some((at, store)),
+                // SAFETY: `item` paired the slot with this collection.
+                (DepEntry::Slot(slot), Some((run, store))) => {
+                    if !unsafe { store.is_ready(*slot) } {
+                        return Some((run, at));
+                    }
+                }
+                (DepEntry::Slot(_), None) => unreachable!("a run starts with its collection"),
+            }
+        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{CncGraph, StepOutcome};
+    use crate::{CncGraph, DepSet, StepOutcome};
     use std::sync::atomic::{AtomicU32, Ordering as AOrd};
 
     #[test]
@@ -252,5 +388,59 @@ mod tests {
         static NEXT: AtomicU32 = AtomicU32::new(0);
         let _ = items;
         NEXT.fetch_add(1, AOrd::SeqCst)
+    }
+    #[test]
+    fn put_when_defers_until_deps_ready() {
+        let g = CncGraph::with_threads(2);
+        let input = g.item_collection::<u32, u32>("in");
+        let out = g.item_collection::<u32, u32>("out");
+        let tags = g.tag_collection::<u32>("t");
+        let (i2, o2) = (input.clone(), out.clone());
+        tags.prescribe("sum", move |&n, s| {
+            // Pre-scheduled: by the time this runs, gets must succeed.
+            let a = i2.get(s, &n)?;
+            let b = i2.get(s, &(n + 1))?;
+            o2.put(n, a + b)?;
+            Ok(StepOutcome::Done)
+        });
+        tags.put_when(4, &DepSet::new().item(&input, 4).item(&input, 5));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert_eq!(g.stats().steps_started, 0, "must not dispatch before deps");
+        input.put(4, 10).unwrap();
+        input.put(5, 32).unwrap();
+        let stats = g.wait().unwrap();
+        assert_eq!(out.get_env(&4), Some(42));
+        assert_eq!(
+            stats.steps_requeued, 0,
+            "pre-scheduling eliminates requeues"
+        );
+    }
+
+    #[test]
+    fn put_when_with_ready_deps_dispatches_immediately() {
+        let g = CncGraph::with_threads(2);
+        let input = g.item_collection::<u32, u32>("in");
+        let out = g.item_collection::<u32, u32>("out");
+        let tags = g.tag_collection::<u32>("t");
+        let (i2, o2) = (input.clone(), out.clone());
+        tags.prescribe("copy", move |&n, s| {
+            let v = i2.get(s, &n)?;
+            o2.put(n, v)?;
+            Ok(StepOutcome::Done)
+        });
+        input.put(1, 11).unwrap();
+        tags.put_when(1, &DepSet::new().item(&input, 1));
+        g.wait().unwrap();
+        assert_eq!(out.get_env(&1), Some(11));
+    }
+
+    #[test]
+    fn dep_set_len() {
+        let g = CncGraph::with_threads(1);
+        let items = g.item_collection::<u32, u32>("i");
+        let d = DepSet::new();
+        assert!(d.is_empty());
+        let d = d.item(&items, 1).item(&items, 2);
+        assert_eq!(d.len(), 2);
     }
 }

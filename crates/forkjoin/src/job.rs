@@ -153,6 +153,33 @@ impl<F: FnOnce() + Send> HeapJob<F> {
     }
 }
 
+/// A fire-and-forget job that is a heap allocation already: one pointer
+/// the pool queues as it is, where `spawn` would box a closure around
+/// it (`recdp-cnc`'s step instances). Like a spawned closure, a job the
+/// pool discards unexecuted is leaked.
+pub trait RawJob: Send + 'static {
+    /// Gives the job up as a pointer for [`RawJob::run`].
+    fn into_raw(self) -> *const ();
+
+    /// Runs the job.
+    ///
+    /// # Safety
+    /// `job` came from [`RawJob::into_raw`] of this type and is passed
+    /// here exactly once.
+    unsafe fn run(job: *const ());
+}
+
+impl JobRef {
+    pub(crate) fn from_raw_job<J: RawJob>(job: J) -> JobRef {
+        unsafe fn execute<J: RawJob>(job: *const ()) {
+            // Contained for the reason given in `HeapJob`.
+            let _ = std::panic::catch_unwind(|| J::run(job));
+        }
+        // SAFETY: `into_raw`'s pointer stays valid until `run` takes it.
+        unsafe { JobRef::new(job.into_raw(), execute::<J>) }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

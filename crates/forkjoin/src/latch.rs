@@ -75,6 +75,10 @@ pub(crate) struct LockLatch {
     cond: Condvar,
 }
 
+/// Looks [`LockLatch::wait`] takes before it blocks (a few
+/// microseconds' worth).
+const LOOKS_BEFORE_BLOCKING: u32 = 200;
+
 impl LockLatch {
     pub(crate) fn new() -> Self {
         Self {
@@ -92,6 +96,16 @@ impl LockLatch {
     /// Blocks until the latch is set. Wakes as soon as the setter
     /// notifies — no polling interval, no sleep-slice tail.
     pub(crate) fn wait(&self) {
+        // A short job on a warm pool is done within a microsecond or
+        // two; blocking right away turns that into a futex sleep and a
+        // wake-up several times as long. Look a few times first — each
+        // look under the lock, for the reason given on the type.
+        for _ in 0..LOOKS_BEFORE_BLOCKING {
+            if *self.set.lock() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
         let mut set = self.set.lock();
         while !*set {
             self.cond.wait(&mut set);

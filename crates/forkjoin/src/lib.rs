@@ -18,7 +18,8 @@
 //! Scheduling is classic Cilk/rayon-style randomized work stealing over
 //! per-worker Chase-Lev deques (`crossbeam-deque`) with a shared injector
 //! for external submissions; idle workers poll briefly for the next wave
-//! of work, then park on a condvar. While a task
+//! of work, then park on a condvar, counted so that a push wakes them
+//! only when somebody sleeps. While a task
 //! waits at a join whose other branch was stolen, its worker *helps* by
 //! stealing other work instead of blocking the OS thread.
 //!
@@ -70,8 +71,10 @@ mod latch;
 mod registry;
 mod scope;
 
+pub use job::RawJob;
 pub use registry::{
-    current_num_threads, RecoveryMode, StealPolicy, TaskHook, ThreadPool, ThreadPoolBuilder,
+    current_num_threads, spawn_local, PoolId, RecoveryMode, StealPolicy, TaskHook, ThreadPool,
+    ThreadPoolBuilder,
 };
 pub use scope::{scope, Scope};
 

@@ -9,7 +9,7 @@ use crossbeam_deque::{Injector, Stealer, Worker};
 use parking_lot::{Condvar, Mutex, RwLock};
 use recdp_trace::{EventKind, Lane, TaskSource, Tracer};
 
-use crate::job::{HeapJob, JobRef, StackJob};
+use crate::job::{HeapJob, JobRef, RawJob, StackJob};
 use crate::latch::{Latch, LockLatch};
 
 /// A callback run by a worker immediately before each queued job it
@@ -212,9 +212,14 @@ impl ThreadPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        let job = HeapJob::into_job_ref(f);
+        self.push(HeapJob::into_job_ref(f), false);
+    }
+
+    /// Queues `job`: on the calling worker's own deque if it is one of
+    /// this pool's and `fair` is not asked for, else on the injector.
+    fn push(&self, job: JobRef, fair: bool) {
         match WorkerThread::current() {
-            Some(wt) if std::ptr::eq(wt.registry.as_ref(), self.registry.as_ref()) => {
+            Some(wt) if !fair && std::ptr::eq(wt.registry.as_ref(), self.registry.as_ref()) => {
                 wt.push(job);
             }
             _ => self.registry.inject(job),
@@ -231,6 +236,17 @@ impl ThreadPool {
         F: FnOnce() + Send + 'static,
     {
         self.registry.inject(HeapJob::into_job_ref(f));
+    }
+
+    /// [`ThreadPool::spawn`] (or, if `fair`, [`ThreadPool::spawn_global`])
+    /// of a job that needs no box; see [`RawJob`].
+    pub fn spawn_job<J: RawJob>(&self, job: J, fair: bool) {
+        self.push(JobRef::from_raw_job(job), fair);
+    }
+
+    /// A process-unique identity for this pool, for [`spawn_local`].
+    pub fn id(&self) -> PoolId {
+        PoolId(self.registry.id)
     }
 
     /// Number of worker slots the pool was configured with. Under
@@ -302,6 +318,25 @@ impl Drop for ThreadPool {
     }
 }
 
+/// Identity of a [`ThreadPool`], comparable without holding the pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolId(u64);
+
+/// [`ThreadPool::spawn_job`] for a caller that is (probably) running on
+/// a worker of pool `pool` and does not hold the pool: pushes `job` onto
+/// the calling worker's own deque. Hands `job` back if the calling
+/// thread is not a worker of that pool. A worker only runs jobs while
+/// its pool's registry is alive, so no handle on the pool is needed.
+pub fn spawn_local<J: RawJob>(pool: PoolId, job: J) -> Result<(), J> {
+    match WorkerThread::current() {
+        Some(wt) if wt.registry.id == pool.0 => {
+            wt.push(JobRef::from_raw_job(job));
+            Ok(())
+        }
+        _ => Err(job),
+    }
+}
+
 /// Number of threads of the pool the current thread belongs to, or of the
 /// global pool otherwise.
 pub fn current_num_threads() -> usize {
@@ -319,6 +354,8 @@ pub(crate) fn global() -> &'static ThreadPool {
 }
 
 pub(crate) struct Registry {
+    /// Process-unique (never reused, unlike the registry's address).
+    id: u64,
     injector: Injector<JobRef>,
     /// One stealer per worker slot. Behind an `RwLock` so a respawned
     /// worker can swap its fresh deque's stealer into its slot; the
@@ -327,6 +364,8 @@ pub(crate) struct Registry {
     terminate: AtomicBool,
     sleep_mutex: Mutex<()>,
     sleep_cond: Condvar,
+    /// Workers blocked on `sleep_cond` or about to be (see `sleep`).
+    sleepers: AtomicUsize,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     task_hook: Option<TaskHook>,
     steal_policy: Option<Arc<dyn StealPolicy>>,
@@ -376,12 +415,15 @@ impl Registry {
     ) -> Arc<Self> {
         let workers: Vec<Worker<JobRef>> = (0..n).map(|_| Worker::new_lifo()).collect();
         let stealers = RwLock::new(workers.iter().map(|w| w.stealer()).collect());
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let registry = Arc::new(Registry {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             injector: Injector::new(),
             stealers,
             terminate: AtomicBool::new(false),
             sleep_mutex: Mutex::new(()),
             sleep_cond: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
             handles: Mutex::new(Vec::with_capacity(n)),
             task_hook,
             steal_policy,
@@ -416,7 +458,7 @@ impl Registry {
             tracer.lane().instant(EventKind::TaskSpawn);
         }
         self.injector.push(job);
-        self.wake_all();
+        self.wake_sleepers();
     }
 
     /// Stops and joins the workers, then drains never-executed jobs into
@@ -424,7 +466,7 @@ impl Registry {
     /// an empty injector and just re-reads the count.
     fn shutdown(&self) -> usize {
         self.terminate.store(true, Ordering::Release);
-        self.wake_all();
+        self.wake_sleepers();
         let handles: Vec<_> = std::mem::take(&mut *self.handles.lock());
         for h in handles {
             let _ = h.join();
@@ -452,12 +494,40 @@ impl Registry {
         self.dropped_jobs.load(Ordering::Relaxed)
     }
 
-    fn wake_all(&self) {
-        // Pair the notify with the sleep mutex so a worker that checked
-        // the queues and is about to wait cannot miss it entirely; the
-        // bounded wait below covers the remaining benign race.
-        let _guard = self.sleep_mutex.lock();
-        self.sleep_cond.notify_all();
+    /// Wakes the blocked workers after a push, if there are any. The
+    /// sleeper count makes this a fence and a load while every worker is
+    /// busy or still polling: no lock, no `notify` (a futex call per push
+    /// otherwise). Pusher: push, fence, read `sleepers`. Sleeper (see
+    /// `sleep`): take the sleep mutex, raise `sleepers`, fence, look at
+    /// the queues, wait. By the two fences either the pusher reads a
+    /// raised count, or the sleeper sees the pushed job and does not
+    /// wait; and a pusher that read a raised count cannot notify too
+    /// early, because it gets the mutex only once the sleeper is inside
+    /// `wait`, which released it.
+    fn wake_sleepers(&self) {
+        std::sync::atomic::fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::Relaxed) > 0 {
+            let _guard = self.sleep_mutex.lock();
+            self.sleep_cond.notify_all();
+        }
+    }
+
+    /// Blocks the calling worker until a push or `shutdown` wakes it,
+    /// for at most the bounded wait (a backstop, not part of the
+    /// protocol above). Returns at once if work or termination is
+    /// already visible.
+    fn sleep(&self) {
+        let mut guard = self.sleep_mutex.lock();
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        std::sync::atomic::fence(Ordering::SeqCst);
+        let nothing_to_do = self.injector.is_empty()
+            && self.stealers.read().iter().all(Stealer::is_empty)
+            && !self.terminate.load(Ordering::Acquire);
+        if nothing_to_do {
+            self.sleep_cond
+                .wait_for(&mut guard, Duration::from_millis(1));
+        }
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Checks the kill schedule: returns `true` when a kill point is
@@ -548,7 +618,7 @@ impl WorkerThread {
             lane.instant(EventKind::TaskSpawn);
         }
         self.worker.push(job);
-        self.registry.wake_all();
+        self.registry.wake_sleepers();
     }
 
     /// Pops the most recently pushed local job, if any.
@@ -725,14 +795,7 @@ fn worker_main(worker: Worker<JobRef>, registry: Arc<Registry>, index: usize) {
                 // `idle` stays put: a worker woken by the bounded wait's
                 // timeout looks once and blocks again; only work re-arms
                 // the polling.
-                {
-                    let mut guard = registry.sleep_mutex.lock();
-                    // Bounded wait: covers the push-vs-sleep race without
-                    // a heavier epoch protocol.
-                    registry
-                        .sleep_cond
-                        .wait_for(&mut guard, Duration::from_millis(1));
-                }
+                registry.sleep();
                 if let (Some(lane), Some(t0)) = (&wt.lane, idle_since.take()) {
                     lane.span(EventKind::Park, t0);
                 }
@@ -781,7 +844,7 @@ fn retire_worker(wt: &WorkerThread, registry: &Arc<Registry>) {
     }
     // Wake sleepers: the requeued jobs need picking up, and a degraded
     // pool must notice its work sooner rather than on a sleep-slice tick.
-    registry.wake_all();
+    registry.wake_sleepers();
     if registry.recovery == RecoveryMode::Respawn && !registry.terminate.load(Ordering::Acquire) {
         registry.respawn(wt.index);
         if let Some(lane) = wt.lane() {
@@ -1202,6 +1265,72 @@ mod tests {
             let total: u64 = parks.iter().sum();
             assert!(total >= 15_000_000, "{total} ns of 30 ms idle recorded");
         }
+    }
+
+    #[test]
+    fn a_push_to_blocked_workers_is_picked_up_without_the_bounded_wait() {
+        // Every worker has been idle for 5 ms, far past its polling
+        // phase: all are counted sleepers blocked on the condvar. The
+        // push must see the count and notify; a lost wake-up would leave
+        // the job to the 1 ms bounded wait, i.e. half a millisecond or
+        // more in the median (a notify takes tens of microseconds; the
+        // bound leaves room for a loaded machine). The pusher is outside
+        // the pool (`spawn` injects), the path that finds everybody
+        // asleep in practice.
+        let pool = ThreadPoolBuilder::new().num_threads(2).build();
+        let mut waits: Vec<Duration> = (0..500)
+            .map(|_| {
+                std::thread::sleep(Duration::from_millis(5));
+                let (tx, rx) = std::sync::mpsc::channel();
+                let pushed = Instant::now();
+                pool.spawn(move || tx.send(pushed.elapsed()).expect("the test is listening"));
+                rx.recv().expect("the job ran")
+            })
+            .collect();
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median < Duration::from_micros(400),
+            "median pick-up {median:?}: pushes wait for the sleep slice to run out"
+        );
+        assert_eq!(pool.shutdown(), 0);
+    }
+
+    #[test]
+    fn raw_jobs_run_once_from_inside_and_outside_the_pool() {
+        struct Count(Arc<AtomicUsize>);
+        impl RawJob for Count {
+            fn into_raw(self) -> *const () {
+                Arc::into_raw(self.0) as *const ()
+            }
+            unsafe fn run(job: *const ()) {
+                // SAFETY: `into_raw`'s pointer, once.
+                let count = unsafe { Arc::from_raw(job as *const AtomicUsize) };
+                count.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let pool = ThreadPoolBuilder::new().num_threads(2).build();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let job = || Count(Arc::clone(&ran));
+        // Not a worker of this pool: handed back.
+        assert!(spawn_local(pool.id(), job()).is_err());
+        pool.spawn_job(job(), false);
+        pool.spawn_job(job(), true);
+        let (id, inner) = (pool.id(), job());
+        pool.install(move || assert!(spawn_local(id, inner).is_ok()));
+        for _ in 0..10_000 {
+            if ran.load(Ordering::SeqCst) == 3 {
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            Arc::strong_count(&ran),
+            1,
+            "every job gave its reference up"
+        );
+        assert_eq!(pool.shutdown(), 0);
     }
 
     #[test]

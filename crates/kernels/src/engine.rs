@@ -231,14 +231,9 @@ struct EngineCtx<S: DpSpec> {
 impl<S: DpSpec> EngineCtx<S> {
     /// Declared dependency set of a base tile task (for `put_when`).
     fn deps(&self, tile: TileKey) -> DepSet {
-        let mut deps = DepSet::new();
-        for r in self.spec.reads(tile) {
-            deps = deps.item(&self.items, r);
-        }
-        for r in self.anti_deps(tile) {
-            deps = deps.item(&self.items, r);
-        }
-        deps
+        DepSet::new()
+            .items(&self.items, self.spec.reads(tile))
+            .items(&self.items, self.anti_deps(tile))
     }
 
     /// Anti-dependence edges ([`DpSpec::anti_deps`]) are honoured only
@@ -423,7 +418,7 @@ fn register_cnc_with<S: DpSpec>(
     let ctx = Arc::new(EngineCtx {
         spec: spec.clone(),
         variant,
-        items: graph.item_collection(spec.item_name()),
+        items: graph.grid_item_collection(spec.item_name(), spec.tile_extent()),
         tags: func_names
             .iter()
             .map(|name| graph.tag_collection(name))

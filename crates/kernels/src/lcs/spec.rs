@@ -61,6 +61,10 @@ impl DpSpec for LcsSpec {
         self.t_tiles
     }
 
+    fn tile_extent(&self) -> TileKey {
+        (self.t_tiles, self.t_tiles, 1)
+    }
+
     fn root(&self) -> Call {
         Call::new(0, 0, 0, 0, self.t_tiles)
     }

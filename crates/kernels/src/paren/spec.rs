@@ -75,6 +75,10 @@ impl DpSpec for ParenSpec {
         self.t_tiles
     }
 
+    fn tile_extent(&self) -> TileKey {
+        (self.t_tiles, self.t_tiles, 1)
+    }
+
     fn root(&self) -> Call {
         Call::new(A, 0, 0, 0, self.t_tiles)
     }

@@ -189,6 +189,17 @@ pub trait DpSpec: Clone + Send + Sync + 'static {
     /// Problem size in tiles per dimension.
     fn t_tiles(&self) -> u32;
 
+    /// Extent of the tile-key space: every [`TileKey`] the spec names
+    /// (via [`DpSpec::tile`], [`DpSpec::reads`], [`DpSpec::anti_deps`])
+    /// is below it in each coordinate. The CnC engine sizes its item
+    /// grid with it. The default is the `t x t x t` cube of the
+    /// recurrences with a pivot dimension; 2-D tile spaces override it
+    /// with a flat `t x t x 1`.
+    fn tile_extent(&self) -> TileKey {
+        let t = self.t_tiles();
+        (t, t, t)
+    }
+
     /// The root call of the recursion (covers the whole table).
     fn root(&self) -> Call;
 

@@ -57,6 +57,9 @@ impl<S: DpSpec> DpSpec for Counted<S> {
     fn t_tiles(&self) -> u32 {
         self.inner.t_tiles()
     }
+    fn tile_extent(&self) -> TileKey {
+        self.inner.tile_extent()
+    }
     fn root(&self) -> Call {
         self.inner.root()
     }
