@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use recdp::{run_benchmark_resilient, Benchmark, ResilienceOptions};
+use recdp::{execute, Benchmark, Execution, ResilienceOptions, Run};
 use recdp_cachesim::workloads::ge_base_case_trace;
 use recdp_cachesim::{CacheHierarchy, PrefetchPolicy};
 use recdp_cnc::RetryPolicy;
@@ -222,8 +222,12 @@ fn resilience_overhead(csv: &mut String) {
             },
             ..Default::default()
         };
-        let out = run_benchmark_resilient(Benchmark::Ge, CncVariant::Native, 256, 32, 2, &opts)
-            .expect("retry budget absorbs the injected transient faults");
+        let native = Execution::Cnc(CncVariant::Native);
+        let out = execute(&Run {
+            resilience: opts,
+            ..Run::new(Benchmark::Ge, native, 256, 32, 2)
+        })
+        .expect("retry budget absorbs the injected transient faults");
         let stats = out.cnc_stats.expect("CnC run always carries stats");
         let ratio = stats.steps_retried as f64 / stats.steps_completed.max(1) as f64;
         println!(

@@ -320,7 +320,7 @@ pub mod tables {
 /// and the structural validation test.
 pub mod measured {
     use recdp::prelude::TraceReport;
-    use recdp::{dag_metrics, run_benchmark_traced, Benchmark, Execution, Model};
+    use recdp::{dag_metrics, execute, Benchmark, Execution, Model, Run};
     use recdp_kernels::CncVariant;
 
     /// Default quick-mode problem size.
@@ -368,7 +368,12 @@ pub mod measured {
                     Execution::Cnc(_) => Model::DataFlow,
                     _ => unreachable!("EXECUTIONS holds only parallel models"),
                 };
-                let (_, session) = run_benchmark_traced(benchmark, execution, n, base, threads);
+                let out = execute(&Run {
+                    trace: true,
+                    ..Run::new(benchmark, execution, n, base, threads)
+                })
+                .expect("traced runs are fault-free");
+                let session = out.trace.expect("asked for a trace");
                 rows.push(MeasuredSpanRow {
                     bench: benchmark.name(),
                     exec: execution.label(),
@@ -513,7 +518,7 @@ pub mod figures {
 ///   `RecoveryMode`), quantifying what respawning buys.
 pub mod recovery {
     use recdp_cnc::CncGraph;
-    use recdp_kernels::engine::{register_cnc_on, run_cnc_on};
+    use recdp_kernels::engine::{register_cnc, run_cnc};
     use recdp_kernels::workloads::{chain_dims, dna_sequence, fw_matrix, ge_matrix};
     use recdp_kernels::{fw, ge, paren, sw, CncVariant, DpSpec};
     use recdp_machine::{epyc64, ParadigmOverheads};
@@ -563,7 +568,7 @@ pub mod recovery {
         kill_after: usize,
     ) -> CheckpointRow {
         let (killed, handle) = CncGraph::managed(fifo());
-        register_cnc_on(spec, CncVariant::Native, &killed);
+        register_cnc(spec, CncVariant::Native, &killed, None);
         for _ in 0..kill_after {
             if !handle.run_one() {
                 break;
@@ -574,8 +579,8 @@ pub mod recovery {
 
         let (resumed, _handle) = CncGraph::managed(fifo());
         resumed.resume_from(&cp);
-        let stats =
-            run_cnc_on(spec, CncVariant::Native, &resumed).expect("resumed managed run quiesces");
+        let stats = run_cnc(spec, CncVariant::Native, &resumed, None)
+            .expect("resumed managed run quiesces");
         CheckpointRow {
             benchmark,
             kill_after,
@@ -1424,17 +1429,30 @@ pub mod rway_sweep {
         for benchmark in Benchmark::EXTENDED {
             for r in SWEEP_WIDTHS {
                 let decomp = Decomposition::new(r);
-                let p = prepare_job_with(benchmark, SWEEP_N, SWEEP_BASE, decomp);
-                let joins_measured = p.run_forkjoin_counting(&pool, SWEEP_GRAIN);
-                let (out, session) = run_benchmark_traced_with(
-                    benchmark,
-                    Execution::ForkJoin,
-                    SWEEP_N,
-                    SWEEP_BASE,
-                    SWEEP_THREADS,
-                    decomp,
-                );
-                let report = session.report();
+                let mut p = prepare_job_with(benchmark, SWEEP_N, SWEEP_BASE, decomp);
+                let counting = RunEnv {
+                    pool: Some(&pool),
+                    count_joins: Some(SWEEP_GRAIN),
+                    ..RunEnv::default()
+                };
+                let joins_measured = p
+                    .run(Execution::ForkJoin, counting)
+                    .expect("fork-join runs are infallible")
+                    .joins
+                    .expect("asked for the join count");
+                let out = execute(&Run {
+                    decomposition: decomp,
+                    trace: true,
+                    ..Run::new(
+                        benchmark,
+                        Execution::ForkJoin,
+                        SWEEP_N,
+                        SWEEP_BASE,
+                        SWEEP_THREADS,
+                    )
+                })
+                .expect("fork-join runs are infallible");
+                let report = out.trace.expect("asked for a trace").report();
                 rows.push(RwayRow {
                     bench: benchmark.name(),
                     r,
@@ -1504,11 +1522,13 @@ pub mod integrity {
     use std::sync::Arc;
     use std::time::Instant;
 
-    use recdp::{prepare_job, run_benchmark, Benchmark, Execution};
+    use recdp::{prepare_job_with, run_benchmark, Benchmark, Execution, RunEnv};
     use recdp_cnc::{CncGraph, FaultInjector};
     use recdp_faults::FaultPlan;
     use recdp_forkjoin::{ThreadPool, ThreadPoolBuilder};
-    use recdp_kernels::{CncVariant, IntegrityConfig, IntegrityMode, IntegrityReport};
+    use recdp_kernels::{
+        CncVariant, Decomposition, IntegrityConfig, IntegrityMode, IntegrityReport,
+    };
 
     /// Problem size (test-sized: the golden regenerates inside the
     /// goldens test).
@@ -1583,53 +1603,49 @@ pub mod integrity {
         }
     }
 
-    fn run_checked(
+    /// One run of `benchmark` on `runtime`, checked under `integrity`
+    /// or unchecked.
+    fn chaos_run(
+        benchmark: Benchmark,
+        runtime: &str,
+        pool: &ThreadPool,
+        integrity: Option<IntegrityConfig>,
+    ) -> ChaosRun {
+        let mut p = prepare_job_with(benchmark, N, BASE, Decomposition::BINARY);
+        let execution = match runtime {
+            "forkjoin" => Execution::ForkJoin,
+            "cnc" => Execution::Cnc(CncVariant::Native),
+            other => panic!("unknown runtime {other:?}"),
+        };
+        let start = Instant::now();
+        let graph = matches!(execution, Execution::Cnc(_)).then(|| CncGraph::with_threads(THREADS));
+        let env = RunEnv {
+            pool: Some(pool),
+            graph: graph.as_ref(),
+            integrity,
+            count_joins: None,
+        };
+        let ran = p.run(execution, env).expect("chaos run");
+        let seconds = start.elapsed().as_secs_f64();
+        ChaosRun {
+            report: ran.integrity.unwrap_or_default(),
+            digest: p.into_table().bit_digest(),
+            seconds,
+        }
+    }
+
+    fn checked_run(
         benchmark: Benchmark,
         runtime: &str,
         pool: &ThreadPool,
         mode: IntegrityMode,
         rate: f64,
     ) -> ChaosRun {
-        let p = prepare_job(benchmark, N, BASE);
         let cfg = IntegrityConfig::new(mode)
             .with_injector(injector(runtime, rate))
             .with_seed(SEED)
             .with_max_repair_attempts(REPAIR_ATTEMPTS);
-        let start = Instant::now();
-        let report = match runtime {
-            "forkjoin" => p.run_forkjoin_checked(pool, cfg),
-            "cnc" => {
-                let graph = CncGraph::with_threads(THREADS);
-                let (_, report) = p
-                    .run_cnc_checked_on(CncVariant::Native, &graph, cfg)
-                    .expect("chaos cnc run");
-                report
-            }
-            other => panic!("unknown runtime {other:?}"),
-        };
-        let seconds = start.elapsed().as_secs_f64();
-        ChaosRun {
-            report,
-            digest: p.into_table().bit_digest(),
-            seconds,
-        }
-    }
-
-    /// Unchecked wall time of the same job on the same runtime — the
-    /// overhead denominator.
-    fn run_unchecked(benchmark: Benchmark, runtime: &str, pool: &ThreadPool) -> f64 {
-        let p = prepare_job(benchmark, N, BASE);
-        let start = Instant::now();
-        match runtime {
-            "forkjoin" => p.run_forkjoin(pool),
-            "cnc" => {
-                let graph = CncGraph::with_threads(THREADS);
-                p.run_cnc_on(CncVariant::Native, &graph)
-                    .expect("clean cnc run");
-            }
-            other => panic!("unknown runtime {other:?}"),
-        }
-        start.elapsed().as_secs_f64()
+        chaos_run(benchmark, runtime, pool, Some(cfg))
     }
 
     /// Runs the whole chaos study (both sections, every benchmark,
@@ -1642,17 +1658,19 @@ pub mod integrity {
                 .table
                 .bit_digest();
             for runtime in ["forkjoin", "cnc"] {
-                let baseline = run_unchecked(benchmark, runtime, &pool).max(1e-9);
+                // Unchecked wall time of the same job on the same runtime
+                // — the overhead denominator.
+                let baseline = chaos_run(benchmark, runtime, &pool, None).seconds.max(1e-9);
                 // Full-mode detections are the detection-rate
                 // denominator: sampled sets nest by rate (one roll per
                 // tile) and repair rolls are keyed per (tile, attempt),
                 // so every partial-sampling count is a subset of this.
-                let full = run_checked(benchmark, runtime, &pool, IntegrityMode::Full, DETECT_RATE);
+                let full = checked_run(benchmark, runtime, &pool, IntegrityMode::Full, DETECT_RATE);
                 for &sample_rate in &SAMPLE_RATES {
                     let run = if sample_rate >= 1.0 {
-                        run_checked(benchmark, runtime, &pool, IntegrityMode::Full, DETECT_RATE)
+                        checked_run(benchmark, runtime, &pool, IntegrityMode::Full, DETECT_RATE)
                     } else {
-                        run_checked(
+                        checked_run(
                             benchmark,
                             runtime,
                             &pool,
@@ -1678,7 +1696,7 @@ pub mod integrity {
                     });
                 }
                 for &corruption_rate in &REPAIR_RATES {
-                    let run = run_checked(
+                    let run = checked_run(
                         benchmark,
                         runtime,
                         &pool,

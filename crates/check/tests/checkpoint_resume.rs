@@ -25,7 +25,7 @@
 
 use recdp_check::{explore, replay, Config, SharedScheduler};
 use recdp_cnc::{Checkpoint, CncGraph, GraphStats};
-use recdp_kernels::engine::{register_cnc_on, run_cnc_on};
+use recdp_kernels::engine::{register_cnc, run_cnc};
 use recdp_kernels::workloads::{chain_dims, dna_sequence, fw_matrix, ge_matrix};
 use recdp_kernels::{fw, ge, paren, sw, CncVariant, DpSpec, Matrix};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +60,7 @@ fn killed_run<S: DpSpec>(
 ) -> (GraphStats, Checkpoint) {
     // Round 1: run up to KILL_WINDOW-1 managed steps, then fail-stop.
     let (g1, h1) = CncGraph::managed(s.pick_fn());
-    register_cnc_on(sp, variant, &g1);
+    register_cnc(sp, variant, &g1, None);
     for _ in 0..s.choose(KILL_WINDOW) {
         if !h1.run_one() {
             break;
@@ -74,7 +74,7 @@ fn killed_run<S: DpSpec>(
     // run a second window, fail-stop again.
     let (g2, h2) = CncGraph::managed(s.pick_fn());
     g2.resume_from(&cp1);
-    register_cnc_on(sp, variant, &g2);
+    register_cnc(sp, variant, &g2, None);
     for _ in 0..s.choose(KILL_WINDOW) {
         if !h2.run_one() {
             break;
@@ -93,7 +93,7 @@ fn killed_run<S: DpSpec>(
     // Final round: resume and run to quiescence.
     let (g3, _h3) = CncGraph::managed(s.pick_fn());
     g3.resume_from(&cp2);
-    let stats = run_cnc_on(sp, variant, &g3)
+    let stats = run_cnc(sp, variant, &g3, None)
         .unwrap_or_else(|e| panic!("resumed graph must quiesce: {e:?}"));
     (stats, cp2)
 }
@@ -227,7 +227,7 @@ fn checkpoint_of_a_finished_run_resumes_to_a_pure_skip() {
         let mut m = ge_matrix(N, SEED);
         let sp = ge::GeSpec::new(m.ptr(), BASE);
         let (g1, _h1) = CncGraph::managed(s.pick_fn());
-        run_cnc_on(&sp, CncVariant::Native, &g1).expect("first run must quiesce");
+        run_cnc(&sp, CncVariant::Native, &g1, None).expect("first run must quiesce");
         let cp = g1.checkpoint();
         drop(g1);
         assert!(
@@ -237,7 +237,7 @@ fn checkpoint_of_a_finished_run_resumes_to_a_pure_skip() {
 
         let (g2, _h2) = CncGraph::managed(s.pick_fn());
         g2.resume_from(&cp);
-        let second = run_cnc_on(&sp, CncVariant::Native, &g2).expect("resumed run must quiesce");
+        let second = run_cnc(&sp, CncVariant::Native, &g2, None).expect("resumed run must quiesce");
         assert_eq!(
             second.steps_skipped,
             cp.executed_steps() as u64,

@@ -9,9 +9,11 @@ use std::sync::Arc;
 use recdp_check::{explore, Config};
 use recdp_cnc::CncGraph;
 use recdp_faults::FaultPlan;
-use recdp_kernels::engine::{register_cnc_checked_on, run_serial};
+use recdp_kernels::engine::{register_cnc, run_serial};
 use recdp_kernels::workloads::{dna_sequence, fw_matrix, ge_matrix};
-use recdp_kernels::{fw, ge, sw, CncVariant, IntegrityConfig, IntegrityMode, Matrix};
+use recdp_kernels::{
+    fw, ge, sw, CncVariant, DpSpec, IntegrityConfig, IntegrityMode, IntegrityState, Matrix,
+};
 
 const N: usize = 32;
 const BASE: usize = 8;
@@ -29,6 +31,18 @@ fn chaos(mode: IntegrityMode) -> IntegrityConfig {
         .with_max_repair_attempts(12)
 }
 
+/// Registers `spec`'s Native program on `graph` under `cfg`; the
+/// returned state yields the report once the graph has quiesced.
+fn checked_registration<S: DpSpec>(
+    spec: &S,
+    graph: &CncGraph,
+    cfg: IntegrityConfig,
+) -> Arc<IntegrityState> {
+    let st = Arc::new(IntegrityState::new(cfg));
+    register_cnc(spec, CncVariant::Native, graph, Some(Arc::clone(&st)));
+    st
+}
+
 /// The replay-stable observation of one checked managed run.
 type Observation = (u64, u64, u64, u64, u64);
 
@@ -36,7 +50,7 @@ fn checked_ge(sched: recdp_check::SharedScheduler, mode: IntegrityMode) -> Obser
     let (graph, _handle) = CncGraph::managed(sched.pick_fn());
     let mut m = ge_matrix(N, SEED);
     let spec = ge::GeSpec::new(m.ptr(), BASE);
-    let st = register_cnc_checked_on(&spec, CncVariant::Native, &graph, chaos(mode));
+    let st = checked_registration(&spec, &graph, chaos(mode));
     graph.wait().expect("chaos GE quiesces on every schedule");
     let r = st.report();
     r.ok().expect("the raised repair budget absorbs every flip");
@@ -53,7 +67,7 @@ fn checked_ge(sched: recdp_check::SharedScheduler, mode: IntegrityMode) -> Obser
 fn full_verification_is_schedule_independent_and_heals() {
     let oracle = {
         let mut m = ge_matrix(N, SEED);
-        run_serial(&ge::GeSpec::new(m.ptr(), BASE));
+        run_serial(&ge::GeSpec::new(m.ptr(), BASE), None);
         m.bit_digest()
     };
     let cfg = Config::from_env();
@@ -98,7 +112,7 @@ fn fw_heals_bitwise_on_every_schedule_despite_region_reuse() {
     // finds schedules where the healed table diverges from serial.
     let oracle = {
         let mut m = fw_matrix(N, 3, 0.4);
-        run_serial(&fw::FwSpec::new(m.ptr(), BASE));
+        run_serial(&fw::FwSpec::new(m.ptr(), BASE), None);
         m.bit_digest()
     };
     let cfg = Config::from_env();
@@ -106,12 +120,7 @@ fn fw_heals_bitwise_on_every_schedule_despite_region_reuse() {
         let (graph, _handle) = CncGraph::managed(s.pick_fn());
         let mut m = fw_matrix(N, 3, 0.4);
         let spec = fw::FwSpec::new(m.ptr(), BASE);
-        let st = register_cnc_checked_on(
-            &spec,
-            CncVariant::Native,
-            &graph,
-            chaos(IntegrityMode::Full),
-        );
+        let st = checked_registration(&spec, &graph, chaos(IntegrityMode::Full));
         graph.wait().expect("chaos FW quiesces on every schedule");
         let r = st.report();
         r.ok().expect("the raised repair budget absorbs every flip");
@@ -139,12 +148,7 @@ fn sw_put_verification_is_schedule_independent() {
         let (graph, _handle) = CncGraph::managed(s.pick_fn());
         let mut m = Matrix::zeros(N);
         let spec = sw::SwSpec::new(m.ptr(), &a, &b, BASE);
-        let st = register_cnc_checked_on(
-            &spec,
-            CncVariant::Native,
-            &graph,
-            chaos(IntegrityMode::Full),
-        );
+        let st = checked_registration(&spec, &graph, chaos(IntegrityMode::Full));
         graph.wait().expect("chaos SW quiesces on every schedule");
         let r = st.report();
         r.ok().expect("the raised repair budget absorbs every flip");
@@ -158,7 +162,7 @@ fn sw_put_verification_is_schedule_independent() {
     });
     let oracle = {
         let mut m = Matrix::zeros(N);
-        run_serial(&sw::SwSpec::new(m.ptr(), &a, &b, BASE));
+        run_serial(&sw::SwSpec::new(m.ptr(), &a, &b, BASE), None);
         m.bit_digest()
     };
     assert_eq!(stable.4, oracle, "healed SW table must match serial");

@@ -145,9 +145,72 @@ impl GraphStats {
     }
 }
 
+/// Field-wise sum, for drivers that run one logical job as several
+/// graphs. The destructuring is exhaustive on purpose: a counter added
+/// to [`GraphStats`] without being summed here fails to compile.
+impl std::ops::AddAssign for GraphStats {
+    fn add_assign(&mut self, other: GraphStats) {
+        let GraphStats {
+            steps_started,
+            steps_completed,
+            steps_requeued,
+            steps_retried,
+            faults_injected,
+            delays_injected,
+            items_put,
+            gets_ok,
+            gets_blocked,
+            gets_nb_missing,
+            nb_retries,
+            tags_put,
+            steps_skipped,
+            items_restored,
+        } = other;
+        self.steps_started += steps_started;
+        self.steps_completed += steps_completed;
+        self.steps_requeued += steps_requeued;
+        self.steps_retried += steps_retried;
+        self.faults_injected += faults_injected;
+        self.delays_injected += delays_injected;
+        self.items_put += items_put;
+        self.gets_ok += gets_ok;
+        self.gets_blocked += gets_blocked;
+        self.gets_nb_missing += gets_nb_missing;
+        self.nb_retries += nb_retries;
+        self.tags_put += tags_put;
+        self.steps_skipped += steps_skipped;
+        self.items_restored += items_restored;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn add_assign_sums_every_counter() {
+        // Every field distinct and non-zero on both sides, so a field
+        // summed into the wrong slot (or not at all) changes the result.
+        let snapshot = |k: u64| GraphStats {
+            steps_started: k,
+            steps_completed: 2 * k,
+            steps_requeued: 3 * k,
+            steps_retried: 4 * k,
+            faults_injected: 5 * k,
+            delays_injected: 6 * k,
+            items_put: 7 * k,
+            gets_ok: 8 * k,
+            gets_blocked: 9 * k,
+            gets_nb_missing: 10 * k,
+            nb_retries: 11 * k,
+            tags_put: 12 * k,
+            steps_skipped: 13 * k,
+            items_restored: 14 * k,
+        };
+        let mut sum = snapshot(1);
+        sum += snapshot(100);
+        assert_eq!(sum, snapshot(101));
+    }
 
     #[test]
     fn snapshot_reflects_counters() {

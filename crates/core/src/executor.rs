@@ -6,7 +6,15 @@
 //! generation and the serial loops oracle (which is hand-written per
 //! benchmark by design — it is the ground truth the engines are
 //! checked against).
+//!
+//! | function | |
+//! |---|---|
+//! | [`execute`] | one [`Run`] — benchmark, execution, sizes, width, where, trace, resilience — end to end |
+//! | [`run_benchmark`] | shorthand for `execute(&Run::new(..))` |
+//! | [`prepare_job_with`], [`prepare_sw_query`] | the input instance alone, as a [`PreparedJob`] to [`run`](PreparedJob::run) on a pool or graph the caller owns |
+//! | [`auto_base`] | what [`AUTO_BASE`] resolves to |
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,8 +25,8 @@ use recdp_kernels::{engine, fw, ge, lcs, paren, sw, CncVariant, Decomposition, M
 use recdp_kernels::{fw::FwSpec, ge::GeSpec, lcs::LcsSpec, paren::ParenSpec, sw::SwSpec};
 use recdp_kernels::{tuned_base, TileKey, TuneKernel};
 use recdp_kernels::{
-    IntegrityConfig, IntegrityEvent, IntegrityMode, IntegrityObserver, IntegrityOptions,
-    IntegrityReport,
+    IntegrityConfig, IntegrityEvent, IntegrityObserver, IntegrityOptions, IntegrityReport,
+    IntegrityState,
 };
 use recdp_trace::{EventKind, TraceSession, Tracer};
 
@@ -99,22 +107,27 @@ impl Execution {
 }
 
 /// Result of one real execution.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RunOutput {
     /// The computed DP table (GE factor table / SW score table / FW
     /// distance table / parenthesization cost table).
     pub table: Matrix,
-    /// Wall-clock seconds of the computation proper (excludes input
-    /// generation).
+    /// Wall-clock seconds of the computation proper: excludes input
+    /// generation and, for a private pool ([`RunOn::Threads`]), building
+    /// the pool and joining its workers.
     pub seconds: f64,
-    /// CnC runtime statistics when `Execution::Cnc` was used.
+    /// CnC runtime statistics when `Execution::Cnc` was used
+    /// (`steps_retried` / `faults_injected` / `steps_skipped` /
+    /// `items_restored` quantify the resilience cost).
     pub cnc_stats: Option<GraphStats>,
     /// What the integrity layer saw when the run was executed under a
-    /// non-[`IntegrityMode::Off`] policy (see
+    /// non-[`Off`](recdp_kernels::IntegrityMode::Off) policy (see
     /// [`ResilienceOptions::integrity`]); `None` for unchecked runs.
     /// An unrepairable tile is carried in [`IntegrityReport::error`] —
     /// callers escalate via [`IntegrityReport::ok`].
     pub integrity: Option<IntegrityReport>,
+    /// The recorded timeline when [`Run::trace`] was set.
+    pub trace: Option<TraceSession>,
 }
 
 /// A benchmark's spec, erased to one dispatchable type (the `DpSpec`
@@ -140,60 +153,41 @@ macro_rules! with_spec {
     };
 }
 
-impl AnySpec {
-    fn serial(&self) {
-        with_spec!(self, s => engine::run_serial(s))
-    }
+/// What [`PreparedJob::run`] executes on and under. Each model reads
+/// only the fields it needs: a serial run is `RunEnv::default()`.
+#[derive(Clone, Default)]
+pub struct RunEnv<'a> {
+    /// The pool the fork-join engine installs into; it outlives the job
+    /// and can serve many jobs back-to-back.
+    pub pool: Option<&'a ThreadPool>,
+    /// The graph the data-flow engine registers on and waits for. The
+    /// caller builds it (only for [`Execution::Cnc`]), arms its retry
+    /// policy, deadline, fault injector, tracer or cancel token, and
+    /// keeps it — e.g. to checkpoint a timed-out run.
+    pub graph: Option<&'a CncGraph>,
+    /// Integrity runtime configuration; `None` runs unchecked. A
+    /// *declared* policy becomes this through
+    /// [`IntegrityOptions::config`], which alone decides whether a run
+    /// is checked.
+    pub integrity: Option<IntegrityConfig>,
+    /// Fork-join only: count the joins the schedule executes (the
+    /// paper's artificial-dependency count) while forking at this grain
+    /// — sibling groups of at most `grain` calls run serially. `None`
+    /// forks at grain 1 and counts nothing.
+    pub count_joins: Option<usize>,
+}
 
-    fn forkjoin(&self, pool: &ThreadPool) {
-        with_spec!(self, s => engine::run_forkjoin(s, pool))
-    }
-
-    fn forkjoin_counting(&self, pool: &ThreadPool, grain: usize) -> u64 {
-        with_spec!(self, s => engine::run_forkjoin_counting(s, pool, grain))
-    }
-
-    fn forkjoin_join_count(&self, grain: usize) -> u64 {
-        with_spec!(self, s => engine::forkjoin_join_count(s, grain))
-    }
-
-    fn cnc(&self, variant: CncVariant, threads: usize) -> GraphStats {
-        with_spec!(self, s => engine::run_cnc(s, variant, threads))
-    }
-
-    fn cnc_on(&self, variant: CncVariant, graph: &CncGraph) -> Result<GraphStats, CncError> {
-        with_spec!(self, s => engine::run_cnc_on(s, variant, graph))
-    }
-
-    fn register_cnc(&self, variant: CncVariant, graph: &CncGraph) {
-        with_spec!(self, s => engine::register_cnc_on(s, variant, graph))
-    }
-
-    fn serial_checked(&self, cfg: IntegrityConfig) -> IntegrityReport {
-        with_spec!(self, s => engine::run_serial_checked(s, cfg))
-    }
-
-    fn forkjoin_checked(&self, pool: &ThreadPool, cfg: IntegrityConfig) -> IntegrityReport {
-        with_spec!(self, s => engine::run_forkjoin_checked(s, pool, 1, cfg))
-    }
-
-    fn cnc_checked_on(
-        &self,
-        variant: CncVariant,
-        graph: &CncGraph,
-        cfg: IntegrityConfig,
-    ) -> Result<(GraphStats, IntegrityReport), CncError> {
-        with_spec!(self, s => engine::run_cnc_checked_on(s, variant, graph, cfg))
-    }
-
-    fn register_cnc_checked(
-        &self,
-        variant: CncVariant,
-        graph: &CncGraph,
-        cfg: IntegrityConfig,
-    ) -> Arc<recdp_kernels::IntegrityState> {
-        with_spec!(self, s => engine::register_cnc_checked_on(s, variant, graph, cfg))
-    }
+/// What one [`PreparedJob::run`] produced.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct JobRun {
+    /// The graph's statistics (data-flow runs).
+    pub cnc_stats: Option<GraphStats>,
+    /// What the integrity layer saw (runs with [`RunEnv::integrity`]).
+    /// An unrepairable tile is carried in [`IntegrityReport::error`];
+    /// the graph's structured error takes precedence over it.
+    pub integrity: Option<IntegrityReport>,
+    /// Joins executed (fork-join runs with [`RunEnv::count_joins`]).
+    pub joins: Option<u64>,
 }
 
 /// A generated input instance ready to run under any execution model:
@@ -205,107 +199,101 @@ impl AnySpec {
 /// `recdp-server`) schedules: prepare once, then run on whatever pool
 /// or graph the host provides. The job is `Send`, so it can be
 /// prepared on a submission thread and executed on a runner thread.
+///
+/// | method | |
+/// |---|---|
+/// | [`run`](Self::run) | the one place a job executes, under any [`Execution`] |
+/// | [`register_cnc`](Self::register_cnc) | registration without the wait, for batching many jobs on one graph |
+/// | [`forkjoin_join_count`](Self::forkjoin_join_count) | static join-count predictor |
+/// | [`table`](Self::table), [`into_table`](Self::into_table) | the result |
+/// | `run_loops`, `run_serial_rdp`, `run_forkjoin`, `run_cnc_on`, `run_forkjoin_checked` | one-line shorthands for `run`, kept because `perf/src/adapter.rs` pins their names |
 pub struct PreparedJob {
     table: Matrix,
     spec: AnySpec,
     loops: Box<dyn Fn(&mut Matrix) + Send + Sync>,
 }
 
+/// Why unwrapping a non-data-flow [`PreparedJob::run`] cannot fail.
+const ONLY_GRAPHS_FAIL: &str = "only data-flow runs return errors";
+
 impl PreparedJob {
-    /// Runs the hand-written serial loops oracle over the table.
-    pub fn run_loops(&mut self) {
-        (self.loops)(&mut self.table);
+    fn new(
+        table: Matrix,
+        spec: AnySpec,
+        loops: impl Fn(&mut Matrix) + Send + Sync + 'static,
+    ) -> Self {
+        PreparedJob {
+            table,
+            spec,
+            loops: Box::new(loops),
+        }
     }
 
-    /// Runs the serial recursive divide-and-conquer walker.
-    pub fn run_serial_rdp(&self) {
-        self.spec.serial();
+    /// Runs the job under `execution` — every caller ([`execute`], the
+    /// job server, the `recdp-bench` studies) reaches the engines through
+    /// here. Only data-flow runs can fail, with the graph's structured
+    /// error.
+    ///
+    /// # Panics
+    /// If `env` lacks the pool or graph the execution needs.
+    pub fn run(&mut self, execution: Execution, env: RunEnv<'_>) -> Result<JobRun, CncError> {
+        if execution == Execution::SerialLoops {
+            // The hand-written oracle: the one model that takes the
+            // table by `&mut`, and not tile-structured, so an integrity
+            // policy has nothing to attach to.
+            (self.loops)(&mut self.table);
+            return Ok(JobRun::default());
+        }
+        self.run_rdp(execution, env)
     }
 
-    /// Runs the fork-join engine on a caller-supplied pool — the pool
-    /// outlives the job and can serve many jobs back-to-back.
-    pub fn run_forkjoin(&self, pool: &ThreadPool) {
-        self.spec.forkjoin(pool);
-    }
-
-    /// Runs the fork-join engine and returns the number of joins the
-    /// schedule actually executed (the paper's artificial-dependency
-    /// count). `grain` is the wide-stage forking grain: sibling groups
-    /// of at most `grain` calls run serially instead of splitting.
-    pub fn run_forkjoin_counting(&self, pool: &ThreadPool, grain: usize) -> u64 {
-        self.spec.forkjoin_counting(pool, grain)
-    }
-
-    /// The number of joins [`Self::run_forkjoin_counting`] will report,
-    /// computed by a static walk of the spec's expansion (no pool, no
-    /// execution) — the schedule-independent join count of the
-    /// fork-join DAG at this decomposition width and grain.
-    pub fn forkjoin_join_count(&self, grain: usize) -> u64 {
-        self.spec.forkjoin_join_count(grain)
-    }
-
-    /// Runs the data-flow engine on a caller-supplied graph (which may
-    /// share its pool with other graphs). The caller arms deadlines,
-    /// retry policies or injectors on the graph beforehand.
-    pub fn run_cnc_on(
-        &self,
-        variant: CncVariant,
-        graph: &CncGraph,
-    ) -> Result<GraphStats, CncError> {
-        self.spec.cnc_on(variant, graph)
+    /// [`Self::run`] for the three engine-backed models, which write the
+    /// table through the spec's `TablePtr` and so need only `&self`.
+    fn run_rdp(&self, execution: Execution, env: RunEnv<'_>) -> Result<JobRun, CncError> {
+        let integrity = env.integrity.map(|cfg| Arc::new(IntegrityState::new(cfg)));
+        let mut out = JobRun::default();
+        with_spec!(&self.spec, s => match execution {
+            Execution::SerialLoops => unreachable!("`run` handles the loops oracle"),
+            Execution::SerialRdp => engine::run_serial(s, integrity.as_deref()),
+            Execution::ForkJoin => {
+                let pool = env.pool.expect("a fork-join run needs `RunEnv::pool`");
+                let joins = env.count_joins.map(|_| AtomicU64::new(0));
+                let grain = env.count_joins.unwrap_or(1);
+                engine::run_forkjoin(s, pool, grain, joins.as_ref(), integrity.as_deref());
+                out.joins = joins.map(AtomicU64::into_inner);
+            }
+            Execution::Cnc(variant) => {
+                let graph = env.graph.expect("a data-flow run needs `RunEnv::graph`");
+                out.cnc_stats = Some(engine::run_cnc(s, variant, graph, integrity.clone())?);
+            }
+        });
+        out.integrity = integrity.map(|st| st.report());
+        Ok(out)
     }
 
     /// Registers this job's collections and root tag on `graph`
-    /// without waiting — the batching half of [`Self::run_cnc_on`].
-    /// Many small jobs registered on one graph execute as a single
-    /// coalesced wavefront behind one `graph.wait()`.
-    pub fn register_cnc(&self, variant: CncVariant, graph: &CncGraph) {
-        self.spec.register_cnc(variant, graph);
-    }
-
-    /// Runs the serial R-DP walker under an integrity policy: every
-    /// base tile is digested, corruption (injected or real) is detected
-    /// against the digest, and corrupted tiles are recomputed from
-    /// their pre-image. Returns what the integrity layer saw.
-    pub fn run_serial_checked(&self, cfg: IntegrityConfig) -> IntegrityReport {
-        self.spec.serial_checked(cfg)
-    }
-
-    /// Runs the fork-join engine under an integrity policy — detection
-    /// and repair happen inside each tile's task, before the enclosing
-    /// stage barrier releases.
-    pub fn run_forkjoin_checked(&self, pool: &ThreadPool, cfg: IntegrityConfig) -> IntegrityReport {
-        self.spec.forkjoin_checked(pool, cfg)
-    }
-
-    /// Runs the data-flow engine under an integrity policy on a
-    /// caller-supplied graph. On top of producer-side verify/repair,
-    /// the readiness item's payload carries the producer's digest, so a
-    /// mangled put is caught by the consumer against the digest
-    /// registry. The graph's structured error takes precedence; an
-    /// unrepairable tile is reported via [`IntegrityReport::error`].
-    pub fn run_cnc_checked_on(
+    /// without waiting — the batching half of a data-flow
+    /// [`Self::run`]: many small jobs registered on one graph execute as
+    /// one coalesced wavefront behind one `graph.wait()`. On a checked
+    /// registration the returned state yields its [`IntegrityReport`]
+    /// after that wait (merge them with [`IntegrityReport::merge`]).
+    pub fn register_cnc(
         &self,
         variant: CncVariant,
         graph: &CncGraph,
-        cfg: IntegrityConfig,
-    ) -> Result<(GraphStats, IntegrityReport), CncError> {
-        self.spec.cnc_checked_on(variant, graph, cfg)
+        integrity: Option<IntegrityConfig>,
+    ) -> Option<Arc<IntegrityState>> {
+        let integrity = integrity.map(|cfg| Arc::new(IntegrityState::new(cfg)));
+        with_spec!(&self.spec, s => engine::register_cnc(s, variant, graph, integrity.clone()));
+        integrity
     }
 
-    /// [`Self::register_cnc`] with an integrity runtime attached: the
-    /// returned [`recdp_kernels::IntegrityState`] yields this
-    /// registration's [`IntegrityReport`] (via
-    /// [`recdp_kernels::IntegrityState::report`]) once the shared
-    /// `graph.wait()` quiesces. Batch drivers merge the per-job reports
-    /// with [`IntegrityReport::merge`].
-    pub fn register_cnc_checked(
-        &self,
-        variant: CncVariant,
-        graph: &CncGraph,
-        cfg: IntegrityConfig,
-    ) -> Arc<recdp_kernels::IntegrityState> {
-        self.spec.register_cnc_checked(variant, graph, cfg)
+    /// The joins a fork-join run counts at [`RunEnv::count_joins`]
+    /// `= Some(grain)`, by a static walk of the spec's expansion (no
+    /// pool, no execution): the schedule-independent join count of the
+    /// fork-join DAG at this decomposition width and grain.
+    pub fn forkjoin_join_count(&self, grain: usize) -> u64 {
+        with_spec!(&self.spec, s => engine::forkjoin_join_count(s, grain))
     }
 
     /// The DP table the job computes into.
@@ -317,6 +305,59 @@ impl PreparedJob {
     pub fn into_table(self) -> Matrix {
         self.table
     }
+
+    // The five shorthands below are pinned by name and signature in
+    // `perf/src/adapter.rs`; each is one call onto `run` (the `&self`
+    // ones onto `run_rdp`, its `&self` half).
+
+    /// `run(Execution::SerialLoops, ..)`.
+    pub fn run_loops(&mut self) {
+        self.run(Execution::SerialLoops, RunEnv::default())
+            .expect(ONLY_GRAPHS_FAIL);
+    }
+
+    /// `run(Execution::SerialRdp, ..)`.
+    pub fn run_serial_rdp(&self) {
+        self.run_rdp(Execution::SerialRdp, RunEnv::default())
+            .expect(ONLY_GRAPHS_FAIL);
+    }
+
+    /// `run(Execution::ForkJoin, ..)` on `pool`.
+    pub fn run_forkjoin(&self, pool: &ThreadPool) {
+        let env = RunEnv {
+            pool: Some(pool),
+            ..RunEnv::default()
+        };
+        self.run_rdp(Execution::ForkJoin, env)
+            .expect(ONLY_GRAPHS_FAIL);
+    }
+
+    /// `run(Execution::ForkJoin, ..)` on `pool` under an explicitly
+    /// built integrity configuration.
+    pub fn run_forkjoin_checked(&self, pool: &ThreadPool, cfg: IntegrityConfig) -> IntegrityReport {
+        let env = RunEnv {
+            pool: Some(pool),
+            integrity: Some(cfg),
+            ..RunEnv::default()
+        };
+        let ran = self.run_rdp(Execution::ForkJoin, env);
+        let report = ran.expect(ONLY_GRAPHS_FAIL).integrity;
+        report.expect("a run with an integrity configuration carries a report")
+    }
+
+    /// `run(Execution::Cnc(variant), ..)` on `graph`.
+    pub fn run_cnc_on(
+        &self,
+        variant: CncVariant,
+        graph: &CncGraph,
+    ) -> Result<GraphStats, CncError> {
+        let env = RunEnv {
+            graph: Some(graph),
+            ..RunEnv::default()
+        };
+        let ran = self.run_rdp(Execution::Cnc(variant), env)?;
+        Ok(ran.cnc_stats.expect("a data-flow run carries stats"))
+    }
 }
 
 /// The autotuned base-case size for `benchmark` at problem size `n` on
@@ -324,17 +365,14 @@ impl PreparedJob {
 /// `recdp_kernels::tune`), clamped to `n`. Tuning can never change
 /// results — every base size produces bitwise-identical tables — so
 /// this is purely a throughput knob.
-pub fn auto_base(benchmark: Benchmark, n: usize) -> usize {
-    auto_base_with(benchmark, n, Decomposition::BINARY)
-}
-
-/// Decomposition-aware form of [`auto_base`]: the tuned base is
-/// additionally clamped so the top-level split is genuinely `r`-wide
-/// (`r * base <= n` whenever `r <= n`). A base larger than `n / r`
-/// would make the root region's effective radix smaller than asked —
-/// legal (the kernels clamp), but it silently erases the decomposition
-/// the caller chose, so the tuner backs the tile off instead.
-pub fn auto_base_with(benchmark: Benchmark, n: usize, decomposition: Decomposition) -> usize {
+///
+/// The tuned base is additionally clamped so the top-level split is
+/// genuinely `r`-wide (`r * base <= n` whenever `r <= n`). A base larger
+/// than `n / r` would make the root region's effective radix smaller
+/// than asked — legal (the kernels clamp), but it silently erases the
+/// decomposition the caller chose, so the tuner backs the tile off
+/// instead.
+pub fn auto_base(benchmark: Benchmark, n: usize, decomposition: Decomposition) -> usize {
     let kernel = match benchmark {
         Benchmark::Ge => TuneKernel::Ge,
         Benchmark::Sw => TuneKernel::Sw,
@@ -346,32 +384,32 @@ pub fn auto_base_with(benchmark: Benchmark, n: usize, decomposition: Decompositi
     tuned_base(kernel, n).min(widest)
 }
 
-/// Resolves the [`AUTO_BASE`] sentinel, leaving explicit bases alone.
+/// Resolves the [`AUTO_BASE`] sentinel, leaving explicit bases alone,
+/// and validates the geometry.
 fn resolve_base(
     benchmark: Benchmark,
     n: usize,
     base: usize,
     decomposition: Decomposition,
 ) -> usize {
-    if base == AUTO_BASE {
-        auto_base_with(benchmark, n, decomposition)
+    let base = if base == AUTO_BASE {
+        auto_base(benchmark, n, decomposition)
     } else {
         base
-    }
+    };
+    assert!(
+        n.is_power_of_two() && base.is_power_of_two() && base <= n,
+        "n and base must be powers of two with base <= n"
+    );
+    base
 }
 
 /// Generates the standard seeded input for `benchmark` at size `n` as
 /// a [`PreparedJob`]. `base` may be [`AUTO_BASE`] to use the host-tuned
-/// tile size.
-pub fn prepare_job(benchmark: Benchmark, n: usize, base: usize) -> PreparedJob {
-    prepare_job_with(benchmark, n, base, Decomposition::BINARY)
-}
-
-/// Like [`prepare_job`] with an explicit decomposition width `r`: the
-/// spec recurses into `r x r` sub-blocks per level instead of
-/// quadrants. The width is purely structural — every `r` produces the
-/// bitwise-identical table — so prepared jobs at different widths
-/// digest-match each other.
+/// tile size. The spec recurses into `r x r` sub-blocks per level for
+/// the decomposition width `r`; the width is purely structural — every
+/// `r` produces the bitwise-identical table — so prepared jobs at
+/// different widths digest-match each other.
 pub fn prepare_job_with(
     benchmark: Benchmark,
     n: usize,
@@ -380,68 +418,40 @@ pub fn prepare_job_with(
 ) -> PreparedJob {
     const SEED: u64 = 0xD1CE;
     let base = resolve_base(benchmark, n, base, decomposition);
-    assert!(
-        n.is_power_of_two() && base.is_power_of_two() && base <= n,
-        "n and base must be powers of two with base <= n"
-    );
     match benchmark {
         Benchmark::Ge => {
             let mut table = ge_matrix(n, SEED);
-            let spec =
-                AnySpec::Ge(GeSpec::new(table.ptr(), base).with_decomposition(decomposition));
-            PreparedJob {
-                table,
-                spec,
-                loops: Box::new(ge::ge_loops),
-            }
+            let spec = GeSpec::new(table.ptr(), base).with_decomposition(decomposition);
+            PreparedJob::new(table, AnySpec::Ge(spec), ge::ge_loops)
         }
         Benchmark::Fw => {
             let mut table = fw_matrix(n, SEED, 0.35);
-            let spec =
-                AnySpec::Fw(FwSpec::new(table.ptr(), base).with_decomposition(decomposition));
-            PreparedJob {
-                table,
-                spec,
-                loops: Box::new(fw::fw_loops),
-            }
+            let spec = FwSpec::new(table.ptr(), base).with_decomposition(decomposition);
+            PreparedJob::new(table, AnySpec::Fw(spec), fw::fw_loops)
         }
         Benchmark::Sw => {
             let a = dna_sequence(n, SEED);
             let b = dna_sequence(n, SEED ^ 0xFFFF);
             let mut table = Matrix::zeros(n);
-            let spec = AnySpec::Sw(
-                SwSpec::new(table.ptr(), &a, &b, base).with_decomposition(decomposition),
-            );
-            PreparedJob {
-                table,
-                spec,
-                loops: Box::new(move |m| sw::sw_loops(m, &a, &b)),
-            }
+            let spec = SwSpec::new(table.ptr(), &a, &b, base).with_decomposition(decomposition);
+            PreparedJob::new(table, AnySpec::Sw(spec), move |m| sw::sw_loops(m, &a, &b))
         }
         Benchmark::Paren => {
             let dims = chain_dims(n, SEED);
             let mut table = Matrix::zeros(n);
-            let spec = AnySpec::Paren(
-                ParenSpec::new(table.ptr(), &dims, base).with_decomposition(decomposition),
-            );
-            PreparedJob {
-                table,
-                spec,
-                loops: Box::new(move |m| paren::paren_loops(m, &dims)),
-            }
+            let spec = ParenSpec::new(table.ptr(), &dims, base).with_decomposition(decomposition);
+            PreparedJob::new(table, AnySpec::Paren(spec), move |m| {
+                paren::paren_loops(m, &dims)
+            })
         }
         Benchmark::Lcs => {
             let a = dna_sequence(n, SEED ^ 0x7C5);
             let b = dna_sequence(n, SEED ^ 0x3A7);
             let mut table = Matrix::zeros(n);
-            let spec = AnySpec::Lcs(
-                LcsSpec::new(table.ptr(), &a, &b, base).with_decomposition(decomposition),
-            );
-            PreparedJob {
-                table,
-                spec,
-                loops: Box::new(move |m| lcs::lcs_loops(m, &a, &b)),
-            }
+            let spec = LcsSpec::new(table.ptr(), &a, &b, base).with_decomposition(decomposition);
+            PreparedJob::new(table, AnySpec::Lcs(spec), move |m| {
+                lcs::lcs_loops(m, &a, &b)
+            })
         }
     }
 }
@@ -453,29 +463,98 @@ pub fn prepare_job_with(
 /// table, coalesced onto one graph via [`PreparedJob::register_cnc`].
 pub fn prepare_sw_query(a: &[u8], b: &[u8], n: usize, base: usize) -> PreparedJob {
     let base = resolve_base(Benchmark::Sw, n, base, Decomposition::BINARY);
-    assert!(
-        n.is_power_of_two() && base.is_power_of_two() && base <= n,
-        "n and base must be powers of two with base <= n"
-    );
     assert!(a.len() >= n && b.len() >= n, "sequences must cover n");
     let a = a[..n].to_vec();
     let b = b[..n].to_vec();
     let mut table = Matrix::zeros(n);
-    let spec = AnySpec::Sw(SwSpec::new(table.ptr(), &a, &b, base));
-    PreparedJob {
-        table,
-        spec,
-        loops: Box::new(move |m| sw::sw_loops(m, &a, &b)),
+    let spec = SwSpec::new(table.ptr(), &a, &b, base);
+    PreparedJob::new(table, AnySpec::Sw(spec), move |m| sw::sw_loops(m, &a, &b))
+}
+
+/// Where an [`execute`]d run finds its worker threads.
+#[derive(Clone)]
+pub enum RunOn {
+    /// A private pool of this many workers, built before the clock
+    /// starts and joined after it stops. The serial models build none.
+    Threads(usize),
+    /// A caller-supplied shared pool: fork-join installs into it and
+    /// the data-flow models run a fresh [`CncGraph`] sharing it (as CnC
+    /// programs share a TBB arena), so many runs, even concurrent ones,
+    /// pay for no pool. What is fixed when a pool is built cannot be
+    /// set here: [`ResilienceOptions::worker_kills`] is ignored, and
+    /// [`Run::trace`] records the graph's steps only.
+    Pool(Arc<ThreadPool>),
+}
+
+/// One run of one benchmark under one execution model — everything
+/// [`execute`] can be asked, as fields. [`Run::new`] fills the common
+/// case; anything else is struct-update syntax on top of it:
+///
+/// ```
+/// use recdp::prelude::*;
+/// let run = Run {
+///     decomposition: Decomposition::new(4),
+///     trace: true,
+///     ..Run::new(Benchmark::Fw, Execution::ForkJoin, 64, 8, 2)
+/// };
+/// let out = execute(&run).expect("fault-free runs succeed");
+/// assert!(out.trace.expect("asked for a trace").report().tasks > 0);
+/// ```
+#[derive(Clone)]
+pub struct Run {
+    /// Which DP to run, on the standard seeded input of size `n`.
+    pub benchmark: Benchmark,
+    /// Under which execution model.
+    pub execution: Execution,
+    /// Problem size (a power of two).
+    pub n: usize,
+    /// Base-case (tile) size, a power of two `<= n`, or [`AUTO_BASE`].
+    pub base: usize,
+    /// Decomposition width `r`. It changes only the schedule (recursion
+    /// depth, stage widths, fork-join join count) — the output table is
+    /// bitwise identical for every `r`.
+    pub decomposition: Decomposition,
+    /// Where the parallel models find their workers.
+    pub on: RunOn,
+    /// Record an event timeline into [`RunOutput::trace`]: measured
+    /// work and span, steal provenance, and idle time split into
+    /// fork-join join waits (artificial dependencies) and CnC
+    /// blocked-get stalls (true dependencies). The serial models have
+    /// no pool to trace and return an empty session.
+    pub trace: bool,
+    /// Integrity policy (every R-DP model), and the data-flow graph's
+    /// retry / deadline / fault-injection / recovery configuration.
+    pub resilience: ResilienceOptions,
+}
+
+impl Run {
+    /// A binary-decomposition, untraced, fault-free run on a private
+    /// pool of `threads` workers.
+    pub fn new(
+        benchmark: Benchmark,
+        execution: Execution,
+        n: usize,
+        base: usize,
+        threads: usize,
+    ) -> Run {
+        Run {
+            benchmark,
+            execution,
+            n,
+            base,
+            decomposition: Decomposition::BINARY,
+            on: RunOn::Threads(threads),
+            trace: false,
+            resilience: ResilienceOptions::default(),
+        }
     }
 }
 
-/// Generates the standard seeded input and runs `benchmark` under
-/// `execution` with problem size `n`, base-case size `base` and (for the
-/// parallel models) `threads` workers.
-///
-/// All inputs come from the seeded generators in
-/// `recdp_kernels::workloads`, so outputs are comparable across
-/// executions.
+/// Shorthand for [`execute`] on [`Run::new`]: runs `benchmark` under
+/// `execution` with problem size `n`, base-case size `base` and (for
+/// the parallel models) `threads` workers. Inputs come from the seeded
+/// generators in `recdp_kernels::workloads`, so outputs are comparable
+/// across executions.
 pub fn run_benchmark(
     benchmark: Benchmark,
     execution: Execution,
@@ -483,200 +562,11 @@ pub fn run_benchmark(
     base: usize,
     threads: usize,
 ) -> RunOutput {
-    run_benchmark_with(
-        benchmark,
-        execution,
-        n,
-        base,
-        threads,
-        Decomposition::BINARY,
-    )
+    execute(&Run::new(benchmark, execution, n, base, threads)).expect("CnC graph failed")
 }
 
-/// Like [`run_benchmark`] with an explicit decomposition width. The
-/// width changes only the schedule (recursion depth, stage widths,
-/// fork-join join count) — the output table is bitwise identical to
-/// the binary run's for every `r`.
-pub fn run_benchmark_with(
-    benchmark: Benchmark,
-    execution: Execution,
-    n: usize,
-    base: usize,
-    threads: usize,
-    decomposition: Decomposition,
-) -> RunOutput {
-    let mut p = prepare_job_with(benchmark, n, base, decomposition);
-    let start = Instant::now();
-    let stats = match execution {
-        Execution::SerialLoops => {
-            (p.loops)(&mut p.table);
-            None
-        }
-        Execution::SerialRdp => {
-            p.spec.serial();
-            None
-        }
-        Execution::ForkJoin => {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build();
-            p.spec.forkjoin(&pool);
-            None
-        }
-        Execution::Cnc(v) => Some(p.spec.cnc(v, threads)),
-    };
-    RunOutput {
-        table: p.table,
-        seconds: start.elapsed().as_secs_f64(),
-        cnc_stats: stats,
-        integrity: None,
-    }
-}
-
-/// Like [`run_benchmark`], but executing on a caller-supplied shared
-/// pool instead of building (and tearing down) a private one per call.
-/// The serial models ignore the pool; fork-join installs into it; the
-/// data-flow models run a fresh [`CncGraph`] sharing it (as CnC
-/// programs share a TBB arena). Per-call pool construction — the
-/// scheduling overhead a long-lived server must not pay — is gone, and
-/// many calls (even concurrent ones) may use one pool.
-///
-/// Data-flow failures are returned instead of panicking; the serial
-/// and fork-join models are infallible here and always return `Ok`.
-pub fn run_benchmark_on(
-    benchmark: Benchmark,
-    execution: Execution,
-    n: usize,
-    base: usize,
-    pool: &Arc<ThreadPool>,
-) -> Result<RunOutput, CncError> {
-    run_benchmark_on_with(benchmark, execution, n, base, pool, Decomposition::BINARY)
-}
-
-/// Like [`run_benchmark_on`] with an explicit decomposition width.
-pub fn run_benchmark_on_with(
-    benchmark: Benchmark,
-    execution: Execution,
-    n: usize,
-    base: usize,
-    pool: &Arc<ThreadPool>,
-    decomposition: Decomposition,
-) -> Result<RunOutput, CncError> {
-    let mut p = prepare_job_with(benchmark, n, base, decomposition);
-    let start = Instant::now();
-    let stats = match execution {
-        Execution::SerialLoops => {
-            p.run_loops();
-            None
-        }
-        Execution::SerialRdp => {
-            p.run_serial_rdp();
-            None
-        }
-        Execution::ForkJoin => {
-            p.run_forkjoin(pool);
-            None
-        }
-        Execution::Cnc(v) => {
-            let graph = CncGraph::with_pool(Arc::clone(pool));
-            Some(p.run_cnc_on(v, &graph)?)
-        }
-    };
-    Ok(RunOutput {
-        table: p.table,
-        seconds: start.elapsed().as_secs_f64(),
-        cnc_stats: stats,
-        integrity: None,
-    })
-}
-
-/// Like [`run_benchmark`] restricted to the parallel execution models,
-/// but instrumented: the run executes on a pool carrying an event
-/// tracer (and, for the data-flow models, a graph sharing it), and the
-/// returned [`TraceSession`] holds the recorded timeline — measured
-/// work, measured span, steal provenance, and the idle-time
-/// decomposition separating fork-join join waits (artificial
-/// dependencies) from CnC blocked-get stalls (true dependencies).
-///
-/// # Panics
-/// Panics on the serial execution models (there is no pool to trace)
-/// and if a data-flow run fails (traced runs are fault-free).
-pub fn run_benchmark_traced(
-    benchmark: Benchmark,
-    execution: Execution,
-    n: usize,
-    base: usize,
-    threads: usize,
-) -> (RunOutput, TraceSession) {
-    run_benchmark_traced_with(
-        benchmark,
-        execution,
-        n,
-        base,
-        threads,
-        Decomposition::BINARY,
-    )
-}
-
-/// Like [`run_benchmark_traced`] with an explicit decomposition width —
-/// the instrumented path the r-way sweep uses to read `join_idle_ns`
-/// (time workers stall on artificial join dependencies) as `r` varies.
-pub fn run_benchmark_traced_with(
-    benchmark: Benchmark,
-    execution: Execution,
-    n: usize,
-    base: usize,
-    threads: usize,
-    decomposition: Decomposition,
-) -> (RunOutput, TraceSession) {
-    let tracer = Tracer::new();
-    let session = TraceSession::with_tracer(Arc::clone(&tracer), threads);
-    let pool = Arc::new(
-        ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .tracer(Arc::clone(&tracer))
-            .build(),
-    );
-    let p = prepare_job_with(benchmark, n, base, decomposition);
-    let start = Instant::now();
-    let stats = match execution {
-        Execution::ForkJoin => {
-            p.spec.forkjoin(&pool);
-            None
-        }
-        Execution::Cnc(v) => {
-            let graph = CncGraph::with_pool(Arc::clone(&pool));
-            graph.set_tracer(Arc::clone(&tracer));
-            Some(
-                p.spec
-                    .cnc_on(v, &graph)
-                    .expect("traced runs are fault-free"),
-            )
-        }
-        other => panic!(
-            "traced runs require a parallel execution model, got {}",
-            other.label()
-        ),
-    };
-    let seconds = start.elapsed().as_secs_f64();
-    // Tear the pool down before reading the trace so every worker's
-    // final events are recorded (joining a worker publishes its lane).
-    let Ok(pool) = Arc::try_unwrap(pool) else {
-        panic!("graphs dropped; the pool must be uniquely owned here");
-    };
-    let dropped = pool.shutdown();
-    debug_assert_eq!(dropped, 0, "a quiesced traced run left queued jobs");
-    (
-        RunOutput {
-            table: p.table,
-            seconds,
-            cnc_stats: stats,
-            integrity: None,
-        },
-        session,
-    )
-}
-
-/// How [`run_benchmark_resilient`] reacts to fail-stop loss: worker
-/// deaths during the run, and jobs that blow their deadline.
+/// How [`execute`] reacts to fail-stop loss: worker deaths during the
+/// run, and jobs that blow their deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
     /// No recovery: worker kills degrade the pool (the runtime's
@@ -694,7 +584,7 @@ pub enum RecoveryPolicy {
     /// that times out is checkpointed ([`CncGraph::checkpoint`]) and the
     /// job resumes on a fresh graph ([`CncGraph::resume_from`]) that
     /// skips every step the previous slices completed. Worker kills are
-    /// handled by respawn within each slice.
+    /// handled by respawn.
     CheckpointInterval {
         /// Deadline of each attempt. (Overrides
         /// [`ResilienceOptions::deadline`], which bounds single-attempt
@@ -706,9 +596,9 @@ pub enum RecoveryPolicy {
     },
 }
 
-/// Resilience configuration for [`run_benchmark_resilient`]: how the CnC
-/// graph behind a benchmark run reacts to transient step failures and
-/// fail-stop worker loss, and the time/cancellation bounds on the run.
+/// Resilience configuration of a [`Run`]: the integrity policy, how the
+/// CnC graph behind a data-flow run reacts to transient step failures
+/// and fail-stop worker loss, and the time bounds on the run.
 #[derive(Clone, Default)]
 pub struct ResilienceOptions {
     /// Retry budget for transient step failures (default: one attempt,
@@ -721,39 +611,19 @@ pub struct ResilienceOptions {
     pub injector: Option<Arc<dyn FaultInjector>>,
     /// Reaction to fail-stop loss (worker deaths, missed deadlines).
     pub recovery: RecoveryPolicy,
-    /// Fail-stop kill schedule for the pool backing the graph: offsets
-    /// in nanoseconds from pool start at which one worker dies (e.g.
+    /// Fail-stop kill schedule for a private pool: offsets in
+    /// nanoseconds from pool start at which one worker dies (e.g.
     /// `recdp_faults::FaultPlan::worker_kill_times_ns`). Empty runs on
     /// an unsupervised pool.
     pub worker_kills: Vec<u64>,
     /// Data-integrity policy for the run: with any mode other than
-    /// [`IntegrityMode::Off`] every base tile is digested inside its
-    /// producing step, silent corruption (whether injected by
-    /// [`Self::injector`] or real) is detected against the digest, and
-    /// corrupted tiles are recomputed from their pre-image. The
-    /// resulting [`IntegrityReport`] is carried in
+    /// [`Off`](recdp_kernels::IntegrityMode::Off) every base tile is
+    /// digested inside its producing step, silent corruption (whether
+    /// injected by [`Self::injector`] or real) is detected against the
+    /// digest, and corrupted tiles are recomputed from their pre-image.
+    /// The resulting [`IntegrityReport`] is carried in
     /// [`RunOutput::integrity`].
     pub integrity: IntegrityOptions,
-}
-
-impl ResilienceOptions {
-    /// The integrity runtime configuration this run would use, or
-    /// `None` when the declared mode is [`IntegrityMode::Off`]: the
-    /// declared [`IntegrityOptions`] with [`Self::injector`] attached
-    /// as the corruption source (the same plan that injects step
-    /// failures also flips tile cells and mangles put payloads). Note
-    /// `IntegrityMode::Sample(0.0)` is *not* `Off`: it injects without
-    /// ever verifying — the "silent corruption" baseline.
-    pub fn integrity_config(&self) -> Option<IntegrityConfig> {
-        if self.integrity.mode == IntegrityMode::Off {
-            return None;
-        }
-        let mut cfg = IntegrityConfig::from(self.integrity);
-        if let Some(injector) = &self.injector {
-            cfg = cfg.with_injector(Arc::clone(injector));
-        }
-        Some(cfg)
-    }
 }
 
 impl std::fmt::Debug for ResilienceOptions {
@@ -769,34 +639,42 @@ impl std::fmt::Debug for ResilienceOptions {
     }
 }
 
-/// Builds one attempt's graph per `opts`: armed with the retry policy
-/// and fault injector, backed by a supervised pool when a kill schedule
-/// is set, and — when resuming — seeded from `checkpoint` *before* any
-/// collection exists (the [`CncGraph::resume_from`] contract).
-fn resilient_graph(
+/// A private pool per `opts`: supervised when a kill schedule is set,
+/// carrying the run's tracer when there is one.
+fn private_pool(
     threads: usize,
     opts: &ResilienceOptions,
-    deadline: Option<Duration>,
-    checkpoint: Option<&Checkpoint>,
-) -> CncGraph {
-    let graph = if opts.worker_kills.is_empty() {
-        CncGraph::with_threads(threads)
-    } else {
+    tracer: Option<&Arc<Tracer>>,
+) -> ThreadPool {
+    let mut builder = ThreadPoolBuilder::new().num_threads(threads);
+    if !opts.worker_kills.is_empty() {
         let mode = match opts.recovery {
             RecoveryPolicy::Degrade => RecoveryMode::Degrade,
             // `None` still survives kills — the pool's built-in requeue
             // makes fail-stop loss a degradation, never lost work.
             _ => RecoveryMode::Respawn,
         };
-        let pool = Arc::new(
-            ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .worker_kill_schedule(opts.worker_kills.clone())
-                .recovery_mode(mode)
-                .build(),
-        );
-        CncGraph::with_pool(pool)
-    };
+        builder = builder
+            .worker_kill_schedule(opts.worker_kills.clone())
+            .recovery_mode(mode);
+    }
+    if let Some(tracer) = tracer {
+        builder = builder.tracer(Arc::clone(tracer));
+    }
+    builder.build()
+}
+
+/// One attempt's graph on `pool`, armed per `opts` and — when resuming
+/// — seeded from `checkpoint` *before* any collection exists (the
+/// [`CncGraph::resume_from`] contract).
+fn armed_graph(
+    pool: &Arc<ThreadPool>,
+    opts: &ResilienceOptions,
+    deadline: Option<Duration>,
+    checkpoint: Option<&Checkpoint>,
+    tracer: Option<&Arc<Tracer>>,
+) -> CncGraph {
+    let graph = CncGraph::with_pool(Arc::clone(pool));
     if let Some(cp) = checkpoint {
         graph.resume_from(cp);
     }
@@ -807,79 +685,75 @@ fn resilient_graph(
     if let Some(injector) = &opts.injector {
         graph.set_fault_injector(Arc::clone(injector));
     }
+    if let Some(tracer) = tracer {
+        graph.set_tracer(Arc::clone(tracer));
+    }
     graph
 }
 
-/// Like [`run_benchmark`] restricted to the data-flow executions, but
-/// resilient: the CnC graph is armed with `opts` (retry policy, deadline,
-/// fault injector, recovery policy, worker-kill schedule) before
-/// execution and structured failures are returned instead of panicking.
-/// The returned [`RunOutput`] always carries `cnc_stats`
-/// (`steps_retried` / `faults_injected` / `steps_skipped` /
-/// `items_restored` quantify the resilience cost).
+/// Generates `run`'s input and executes it: [`prepare_job_with`] +
+/// [`PreparedJob::run`], plus what a one-shot caller would otherwise
+/// build by hand — the pool, a graph per attempt, the clock. Only
+/// data-flow runs can fail, with the graph's structured error.
 ///
-/// Under [`RecoveryPolicy::CheckpointInterval`] a timed-out slice is
-/// checkpointed and the job resumes on a fresh graph over the *same*
-/// table, re-running only the steps no earlier slice completed; the
-/// stats of the final (successful) attempt are returned, so
-/// `steps_skipped` reports how much work the last resume avoided.
-pub fn run_benchmark_resilient(
-    benchmark: Benchmark,
-    variant: CncVariant,
-    n: usize,
-    base: usize,
-    threads: usize,
-    opts: &ResilienceOptions,
-) -> Result<RunOutput, CncError> {
-    let p = prepare_job(benchmark, n, base);
+/// Under [`RecoveryPolicy::CheckpointInterval`] a timed-out slice of a
+/// data-flow run is checkpointed and the job resumes on a fresh graph
+/// over the *same* table, re-running only the steps no earlier slice
+/// completed; the stats of the final (successful) attempt are returned,
+/// so `steps_skipped` reports how much work the last resume avoided.
+pub fn execute(run: &Run) -> Result<RunOutput, CncError> {
+    let opts = &run.resilience;
+    let mut job = prepare_job_with(run.benchmark, run.n, run.base, run.decomposition);
+    let on_graph = matches!(run.execution, Execution::Cnc(_));
+    let tracer = run.trace.then(Tracer::new);
+    let pool = match &run.on {
+        RunOn::Pool(pool) => Some(Arc::clone(pool)),
+        RunOn::Threads(threads) if on_graph || run.execution == Execution::ForkJoin => {
+            Some(Arc::new(private_pool(*threads, opts, tracer.as_ref())))
+        }
+        RunOn::Threads(_) => None,
+    };
+    let (deadline, max_resumes) = match opts.recovery {
+        RecoveryPolicy::CheckpointInterval { slice, max_resumes } => (Some(slice), max_resumes),
+        _ => (opts.deadline, 0),
+    };
     let start = Instant::now();
-    // One attempt's execution, checked or not per the integrity policy.
-    let run_attempt =
-        |graph: &CncGraph| -> Result<(GraphStats, Option<IntegrityReport>), CncError> {
-            match opts.integrity_config() {
-                Some(cfg) => {
-                    let (stats, report) = p.spec.cnc_checked_on(variant, graph, cfg)?;
-                    Ok((stats, Some(report)))
-                }
-                None => Ok((p.spec.cnc_on(variant, graph)?, None)),
-            }
+    let mut checkpoint: Option<Checkpoint> = None;
+    let mut resumes = 0u32;
+    let ran = loop {
+        let graph = pool
+            .as_ref()
+            .filter(|_| on_graph)
+            .map(|pool| armed_graph(pool, opts, deadline, checkpoint.as_ref(), tracer.as_ref()));
+        let env = RunEnv {
+            pool: pool.as_deref(),
+            graph: graph.as_ref(),
+            integrity: opts.integrity.config(opts.injector.as_ref()),
+            count_joins: None,
         };
-    match opts.recovery {
-        RecoveryPolicy::None | RecoveryPolicy::Respawn | RecoveryPolicy::Degrade => {
-            let graph = resilient_graph(threads, opts, opts.deadline, None);
-            let (stats, integrity) = run_attempt(&graph)?;
-            Ok(RunOutput {
-                table: p.table,
-                seconds: start.elapsed().as_secs_f64(),
-                cnc_stats: Some(stats),
-                integrity,
-            })
-        }
-        RecoveryPolicy::CheckpointInterval { slice, max_resumes } => {
-            let mut checkpoint: Option<Checkpoint> = None;
-            let mut resumes = 0u32;
-            loop {
-                let graph = resilient_graph(threads, opts, Some(slice), checkpoint.as_ref());
-                match run_attempt(&graph) {
-                    Ok((stats, integrity)) => {
-                        return Ok(RunOutput {
-                            table: p.table,
-                            seconds: start.elapsed().as_secs_f64(),
-                            cnc_stats: Some(stats),
-                            integrity,
-                        })
-                    }
-                    Err(CncError::Timeout { .. }) if resumes < max_resumes => {
-                        // Snapshot what this slice (plus everything it
-                        // inherited) completed; the next attempt skips it.
-                        checkpoint = Some(graph.checkpoint());
-                        resumes += 1;
-                    }
-                    Err(e) => return Err(e),
-                }
+        match (job.run(run.execution, env), &graph) {
+            (Err(CncError::Timeout { .. }), Some(graph)) if resumes < max_resumes => {
+                // Snapshot what this slice (plus everything it
+                // inherited) completed; the next attempt skips it.
+                checkpoint = Some(graph.checkpoint());
+                resumes += 1;
             }
+            (outcome, _) => break outcome?,
         }
-    }
+    };
+    let seconds = start.elapsed().as_secs_f64();
+    // Every graph is gone, so dropping a private pool joins its workers
+    // — off the clock, and before the trace is read (joining a worker
+    // publishes its lane).
+    let workers = pool.as_ref().map_or(1, |pool| pool.num_threads());
+    drop(pool);
+    Ok(RunOutput {
+        table: job.into_table(),
+        seconds,
+        cnc_stats: ran.cnc_stats,
+        integrity: ran.integrity,
+        trace: tracer.map(|tracer| TraceSession::with_tracer(tracer, workers)),
+    })
 }
 
 /// Bridges [`IntegrityEvent`]s into a tracer's timeline: the returned
@@ -917,67 +791,171 @@ pub fn integrity_observer(tracer: Arc<Tracer>) -> IntegrityObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use recdp_faults::FaultPlan;
+    use recdp_kernels::IntegrityMode;
+    use recdp_trace::TraceReport;
 
+    const EXECUTIONS: [Execution; 7] = [
+        Execution::SerialLoops,
+        Execution::SerialRdp,
+        Execution::ForkJoin,
+        Execution::Cnc(CncVariant::Native),
+        Execution::Cnc(CncVariant::Tuner),
+        Execution::Cnc(CncVariant::Manual),
+        Execution::Cnc(CncVariant::NonBlocking),
+    ];
+
+    /// The agreement table: every extended benchmark x every execution
+    /// model x width r in {2, 4} x {unchecked, `Full` verification under
+    /// seeded cell and put corruption}, through both run paths — the
+    /// facade's [`execute`] (declared options) and a hand-built
+    /// [`PreparedJob::run`] (explicit configuration) — must produce the
+    /// loops oracle's table bit for bit. The corruption rolls are seeded
+    /// per (step, tile, attempt), so the cell counts of a checked run
+    /// are schedule-independent: equal across both paths and across all
+    /// six engine-backed models of a (benchmark, r) point.
     #[test]
-    fn every_execution_agrees_with_loops() {
+    fn every_execution_width_and_integrity_policy_agrees_with_loops() {
+        const N: usize = 64;
+        const BASE: usize = 16;
+        let injector: Arc<dyn FaultInjector> = Arc::new(
+            FaultPlan::new(0xBADC0DE)
+                .corrupt_cells(0.25)
+                .corrupt_puts(0.25),
+        );
+        let full = IntegrityOptions {
+            mode: IntegrityMode::Full,
+            max_repair_attempts: 12,
+            ..Default::default()
+        };
+        let pool = Arc::new(ThreadPoolBuilder::new().num_threads(2).build());
+        let mut detections = 0;
         for benchmark in Benchmark::EXTENDED {
-            let oracle = run_benchmark(benchmark, Execution::SerialLoops, 32, 8, 2);
-            for execution in [
-                Execution::SerialRdp,
-                Execution::ForkJoin,
-                Execution::Cnc(CncVariant::Native),
-                Execution::Cnc(CncVariant::Tuner),
-                Execution::Cnc(CncVariant::Manual),
-                Execution::Cnc(CncVariant::NonBlocking),
-            ] {
-                let out = run_benchmark(benchmark, execution, 32, 8, 2);
-                assert!(
-                    out.table.bitwise_eq(&oracle.table),
-                    "{} under {}",
-                    benchmark.name(),
-                    execution.label()
+            let oracle = run_benchmark(benchmark, Execution::SerialLoops, N, BASE, 1).table;
+            for (r, checked) in [(2u32, false), (2, true), (4, false), (4, true)] {
+                let decomposition = Decomposition::new(r);
+                let resilience = ResilienceOptions {
+                    injector: checked.then(|| Arc::clone(&injector)),
+                    integrity: if checked { full } else { Default::default() },
+                    ..Default::default()
+                };
+                let mut cell_counts = None;
+                for execution in EXECUTIONS {
+                    let what = format!(
+                        "{} under {} at r={r} checked={checked}",
+                        benchmark.name(),
+                        execution.label()
+                    );
+                    let facade = execute(&Run {
+                        decomposition,
+                        resilience: resilience.clone(),
+                        ..Run::new(benchmark, execution, N, BASE, 2)
+                    })
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+
+                    let mut job = prepare_job_with(benchmark, N, BASE, decomposition);
+                    let graph = CncGraph::with_pool(Arc::clone(&pool));
+                    let env = RunEnv {
+                        pool: Some(&*pool),
+                        graph: Some(&graph),
+                        integrity: checked.then(|| {
+                            IntegrityConfig::from(full).with_injector(Arc::clone(&injector))
+                        }),
+                        count_joins: None,
+                    };
+                    let direct = job
+                        .run(execution, env)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+
+                    assert!(facade.table.bitwise_eq(&oracle), "{what}: execute");
+                    assert!(job.table().bitwise_eq(&oracle), "{what}: run");
+                    assert_eq!(direct.joins, None, "{what}: joins are counted on request");
+                    let on_graph = matches!(execution, Execution::Cnc(_));
+                    // The loops oracle is not tile-structured: no policy
+                    // attaches to it.
+                    let reports = checked && execution != Execution::SerialLoops;
+                    for (stats, report) in [
+                        (facade.cnc_stats, facade.integrity),
+                        (direct.cnc_stats, direct.integrity),
+                    ] {
+                        assert_eq!(stats.is_some(), on_graph, "{what}");
+                        assert_eq!(report.is_some(), reports, "{what}");
+                        let Some(report) = report else { continue };
+                        report.ok().unwrap_or_else(|e| panic!("{what}: {e}"));
+                        assert_eq!(
+                            report.tiles_recomputed, report.corruptions_detected,
+                            "{what}: every detection is repaired: {report:?}"
+                        );
+                        assert!(
+                            on_graph || report.put_corruptions_detected == 0,
+                            "{what}: only graphs put items"
+                        );
+                        let counts = (report.tiles_verified, report.corruptions_detected);
+                        assert_eq!(
+                            *cell_counts.get_or_insert(counts),
+                            counts,
+                            "{what}: cell counts are seeded, not scheduled"
+                        );
+                        detections += report.corruptions_detected;
+                    }
+                }
+            }
+        }
+        assert!(detections > 0, "the chaos seed never corrupted anything");
+    }
+
+    fn resilient(
+        benchmark: Benchmark,
+        variant: CncVariant,
+        n: usize,
+        threads: usize,
+        r: u32,
+        resilience: ResilienceOptions,
+    ) -> Result<RunOutput, CncError> {
+        execute(&Run {
+            decomposition: Decomposition::new(r),
+            resilience,
+            ..Run::new(benchmark, Execution::Cnc(variant), n, 8, threads)
+        })
+    }
+
+    /// The decomposition reaches the resilient path: a checked run at
+    /// r = 4 (as at r = 2) self-heals seeded corruption to the oracle.
+    #[test]
+    fn resilient_checked_run_heals_injected_corruption_at_every_width() {
+        for benchmark in [Benchmark::Ge, Benchmark::Fw] {
+            let oracle = run_benchmark(benchmark, Execution::SerialLoops, 32, 8, 1);
+            for r in [2u32, 4] {
+                let opts = ResilienceOptions {
+                    injector: Some(Arc::new(FaultPlan::new(11).corrupt_cells(0.1))),
+                    integrity: IntegrityOptions {
+                        mode: IntegrityMode::Full,
+                        max_repair_attempts: 6,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                let out = resilient(benchmark, CncVariant::Native, 32, 2, r, opts)
+                    .expect("corruption is repaired, not fatal");
+                assert!(out.table.bitwise_eq(&oracle.table), "r={r}");
+                let report = out.integrity.expect("checked runs carry a report");
+                report.ok().expect("every tile repaired within budget");
+                assert!(report.corruptions_detected > 0, "r={r}: {report:?}");
+                assert_eq!(
+                    report.tiles_recomputed, report.corruptions_detected,
+                    "r={r}: {report:?}"
                 );
+                // Four-way, the 4x4 tile grid is one recursion level:
+                // the root step expands straight into the base tiles.
+                let stats = out.cnc_stats.expect("data-flow runs carry stats");
+                let expansions = stats.steps_completed - stats.items_put;
+                assert_eq!(expansions == 1, r == 4, "r={r}: {stats:?}");
             }
         }
     }
 
     #[test]
-    fn cnc_stats_populated_only_for_cnc() {
-        let a = run_benchmark(Benchmark::Ge, Execution::ForkJoin, 32, 8, 2);
-        assert!(a.cnc_stats.is_none());
-        let b = run_benchmark(Benchmark::Ge, Execution::Cnc(CncVariant::Native), 32, 8, 2);
-        assert!(b.cnc_stats.is_some());
-        assert!(b.seconds >= 0.0);
-    }
-
-    #[test]
-    fn resilient_checked_run_self_heals_injected_corruption() {
-        use recdp_faults::FaultPlan;
-        let oracle = run_benchmark(Benchmark::Ge, Execution::SerialLoops, 32, 8, 1);
-        let opts = ResilienceOptions {
-            injector: Some(Arc::new(FaultPlan::new(11).corrupt_cells(0.1))),
-            integrity: IntegrityOptions {
-                mode: IntegrityMode::Full,
-                max_repair_attempts: 6,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let out = run_benchmark_resilient(Benchmark::Ge, CncVariant::Native, 32, 8, 2, &opts)
-            .expect("corruption is repaired, not fatal");
-        assert!(out.table.bitwise_eq(&oracle.table));
-        let report = out.integrity.expect("checked runs carry a report");
-        report.ok().expect("every tile repaired within budget");
-        assert!(report.corruptions_detected > 0, "{report:?}");
-        assert_eq!(
-            report.tiles_recomputed, report.corruptions_detected,
-            "{report:?}"
-        );
-    }
-
-    #[test]
     fn silent_corruption_baseline_corrupts_the_table() {
-        use recdp_faults::FaultPlan;
         let oracle = run_benchmark(Benchmark::Ge, Execution::SerialLoops, 32, 8, 1);
         // Sample(0.0) injects but never verifies — the unprotected run.
         let opts = ResilienceOptions {
@@ -988,22 +966,48 @@ mod tests {
             },
             ..Default::default()
         };
-        let out = run_benchmark_resilient(Benchmark::Ge, CncVariant::Native, 32, 8, 2, &opts)
+        let out = resilient(Benchmark::Ge, CncVariant::Native, 32, 2, 2, opts)
             .expect("silent corruption does not fail the graph");
         assert!(!out.table.bitwise_eq(&oracle.table), "corruption vanished");
         let report = out.integrity.expect("checked runs carry a report");
         assert_eq!(report.corruptions_detected, 0, "{report:?}");
     }
 
+    /// A declared `Off` policy is the unchecked run even with an
+    /// injector armed (for other fault classes): no report, and no
+    /// cell is touched.
+    #[test]
+    fn declared_off_integrity_with_an_injector_is_the_unchecked_run() {
+        let oracle = run_benchmark(Benchmark::Ge, Execution::SerialLoops, 32, 8, 1);
+        let opts = ResilienceOptions {
+            injector: Some(Arc::new(FaultPlan::new(11).corrupt_cells(0.5))),
+            ..Default::default()
+        };
+        let out = resilient(Benchmark::Ge, CncVariant::Native, 32, 2, 2, opts).unwrap();
+        assert!(out.integrity.is_none());
+        assert!(out.table.bitwise_eq(&oracle.table));
+    }
+
+    fn checked_serial_run(
+        benchmark: Benchmark,
+        cfg: IntegrityConfig,
+    ) -> (PreparedJob, IntegrityReport) {
+        let mut job = prepare_job_with(benchmark, 32, 8, Decomposition::BINARY);
+        let env = RunEnv {
+            integrity: Some(cfg),
+            ..RunEnv::default()
+        };
+        let ran = job.run(Execution::SerialRdp, env).expect(ONLY_GRAPHS_FAIL);
+        (job, ran.integrity.expect("checked runs carry a report"))
+    }
+
     #[test]
     fn integrity_observer_records_trace_instants() {
-        use recdp_faults::FaultPlan;
         let tracer = Tracer::new();
-        let p = prepare_job(Benchmark::Sw, 32, 8);
         let cfg = IntegrityConfig::new(IntegrityMode::Full)
             .with_injector(Arc::new(FaultPlan::new(3).corrupt_cells(1.0)))
             .with_observer(integrity_observer(Arc::clone(&tracer)));
-        let report = p.run_serial_checked(cfg);
+        let (_, report) = checked_serial_run(Benchmark::Sw, cfg);
         // Rate 1.0 re-corrupts every repair attempt, so the budget is
         // exhausted and the run escalates — exactly what the observer
         // should have witnessed, detection by detection.
@@ -1014,108 +1018,24 @@ mod tests {
         assert_eq!(counts.tiles_recomputed, report.tiles_recomputed);
     }
 
-    #[test]
-    fn checked_engines_agree_with_loops_under_corruption() {
-        use recdp_faults::FaultPlan;
-        let oracle = run_benchmark(Benchmark::Fw, Execution::SerialLoops, 32, 8, 1);
-        let injector: Arc<dyn FaultInjector> = Arc::new(FaultPlan::new(23).corrupt_cells(0.25));
-        let cfg = || IntegrityConfig::new(IntegrityMode::Full).with_injector(Arc::clone(&injector));
-        let serial = prepare_job(Benchmark::Fw, 32, 8);
-        serial.run_serial_checked(cfg()).ok().expect("serial heals");
-        assert!(serial.table().bitwise_eq(&oracle.table));
-        let fj = prepare_job(Benchmark::Fw, 32, 8);
-        let pool = ThreadPoolBuilder::new().num_threads(2).build();
-        fj.run_forkjoin_checked(&pool, cfg())
-            .ok()
-            .expect("fj heals");
-        assert!(fj.table().bitwise_eq(&oracle.table));
-        let cnc = prepare_job(Benchmark::Fw, 32, 8);
-        let graph = CncGraph::with_threads(2);
-        let (_, report) = cnc
-            .run_cnc_checked_on(CncVariant::Native, &graph, cfg())
-            .expect("graph completes");
-        report.ok().expect("cnc heals");
-        assert!(cnc.table().bitwise_eq(&oracle.table));
-    }
-
-    /// The acceptance matrix: every extended benchmark, at binary and
-    /// 4-way decomposition, under all three engines, with cell (and
-    /// put) corruption at `Full` verification must heal to a table
-    /// bitwise-identical to the serial loops oracle.
-    #[test]
-    fn corruption_heals_across_benchmarks_widths_and_engines() {
-        use recdp_faults::FaultPlan;
-        let injector: Arc<dyn FaultInjector> = Arc::new(
-            FaultPlan::new(0xBADC0DE)
-                .corrupt_cells(0.25)
-                .corrupt_puts(0.25),
-        );
-        let cfg = || {
-            IntegrityConfig::new(IntegrityMode::Full)
-                .with_injector(Arc::clone(&injector))
-                .with_max_repair_attempts(12)
-        };
-        let pool = ThreadPoolBuilder::new().num_threads(2).build();
-        let mut detections = 0;
-        for benchmark in Benchmark::EXTENDED {
-            let oracle = run_benchmark(benchmark, Execution::SerialLoops, 64, 16, 1);
-            for r in [2u32, 4] {
-                let d = Decomposition::new(r);
-                let ctx = |engine: &str| format!("{} r={r} {engine}", benchmark.name());
-
-                let serial = prepare_job_with(benchmark, 64, 16, d);
-                let report = serial.run_serial_checked(cfg());
-                report
-                    .ok()
-                    .unwrap_or_else(|e| panic!("{}: {e}", ctx("serial")));
-                assert!(
-                    serial.table().bitwise_eq(&oracle.table),
-                    "{}",
-                    ctx("serial")
-                );
-                detections += report.corruptions_detected;
-
-                let fj = prepare_job_with(benchmark, 64, 16, d);
-                fj.run_forkjoin_checked(&pool, cfg())
-                    .ok()
-                    .unwrap_or_else(|e| panic!("{}: {e}", ctx("forkjoin")));
-                assert!(fj.table().bitwise_eq(&oracle.table), "{}", ctx("forkjoin"));
-
-                let cnc = prepare_job_with(benchmark, 64, 16, d);
-                let graph = CncGraph::with_threads(2);
-                let (_, report) = cnc
-                    .run_cnc_checked_on(CncVariant::Native, &graph, cfg())
-                    .unwrap_or_else(|e| panic!("{}: {e}", ctx("cnc")));
-                report
-                    .ok()
-                    .unwrap_or_else(|e| panic!("{}: {e}", ctx("cnc")));
-                assert!(cnc.table().bitwise_eq(&oracle.table), "{}", ctx("cnc"));
-            }
-        }
-        assert!(detections > 0, "the chaos seed never corrupted anything");
-    }
-
     /// `DualExecute` detects by re-executing sampled tiles from their
     /// pre-image and comparing digests — no reference digest survives
     /// the run, yet corruption still heals.
     #[test]
     fn dual_execute_heals_without_stored_digests() {
-        use recdp_faults::FaultPlan;
         let oracle = run_benchmark(Benchmark::Lcs, Execution::SerialLoops, 32, 8, 1);
-        let p = prepare_job(Benchmark::Lcs, 32, 8);
         let cfg = IntegrityConfig::new(IntegrityMode::DualExecute(1.0))
             .with_injector(Arc::new(FaultPlan::new(5).corrupt_cells(0.3)))
             .with_max_repair_attempts(12);
-        let report = p.run_serial_checked(cfg);
+        let (job, report) = checked_serial_run(Benchmark::Lcs, cfg);
         report.ok().expect("dual-execute heals");
         assert!(report.corruptions_detected > 0, "nothing injected");
         assert_eq!(report.corruptions_detected, report.tiles_recomputed);
-        assert!(p.table().bitwise_eq(&oracle.table));
+        assert!(job.table().bitwise_eq(&oracle.table));
     }
 
     #[test]
     fn resilient_run_matches_oracle_under_faults() {
-        use recdp_faults::FaultPlan;
         let oracle = run_benchmark(Benchmark::Ge, Execution::SerialLoops, 32, 8, 1);
         let opts = ResilienceOptions {
             retry: RetryPolicy::attempts(8),
@@ -1123,23 +1043,22 @@ mod tests {
             injector: Some(Arc::new(FaultPlan::new(7).transient_step_failures(0.2))),
             ..Default::default()
         };
-        let out = run_benchmark_resilient(Benchmark::Ge, CncVariant::Native, 32, 8, 2, &opts)
+        let out = resilient(Benchmark::Ge, CncVariant::Native, 32, 2, 2, opts)
             .expect("retries absorb the injected transient faults");
         assert!(out.table.bitwise_eq(&oracle.table));
-        let stats = out.cnc_stats.expect("resilient runs always carry stats");
+        let stats = out.cnc_stats.expect("data-flow runs carry stats");
         assert!(stats.faults_injected > 0, "{stats:?}");
         assert_eq!(stats.steps_retried, stats.faults_injected, "{stats:?}");
     }
 
     #[test]
     fn resilient_run_without_budget_reports_structured_failure() {
-        use recdp_faults::FaultPlan;
         let opts = ResilienceOptions {
             // Default retry policy: a single attempt, no retries.
             injector: Some(Arc::new(FaultPlan::new(3).transient_step_failures(0.9))),
             ..Default::default()
         };
-        let err = run_benchmark_resilient(Benchmark::Sw, CncVariant::Native, 32, 8, 2, &opts)
+        let err = resilient(Benchmark::Sw, CncVariant::Native, 32, 2, 2, opts)
             .expect_err("0.9 fault rate with no retries must fail");
         match err {
             CncError::StepFailed { .. } | CncError::RetryExhausted { .. } => {}
@@ -1149,7 +1068,6 @@ mod tests {
 
     #[test]
     fn resilient_run_survives_worker_kills() {
-        use recdp_faults::FaultPlan;
         let plan = FaultPlan::new(21)
             .kill_worker_at_ns(200_000)
             .kill_worker_at_ns(900_000);
@@ -1160,42 +1078,46 @@ mod tests {
                 worker_kills: plan.worker_kill_times_ns().to_vec(),
                 ..Default::default()
             };
-            let out = run_benchmark_resilient(Benchmark::Ge, CncVariant::Native, 64, 8, 3, &opts)
+            let out = resilient(Benchmark::Ge, CncVariant::Native, 64, 3, 2, opts)
                 .expect("kills degrade or respawn, never abort the job");
             assert!(out.table.bitwise_eq(&oracle.table), "{recovery:?}");
         }
     }
 
+    /// Checkpoint/resume at every width (the resilient path used to run
+    /// binary whatever was asked).
     #[test]
-    fn checkpoint_interval_resumes_and_matches_oracle() {
-        use recdp_faults::FaultPlan;
+    fn checkpoint_interval_resumes_and_matches_oracle_at_every_width() {
         let oracle = run_benchmark(Benchmark::Fw, Execution::SerialLoops, 32, 8, 1);
-        // Every step sleeps 1ms. The 32/8 FW graph is 73 steps (64 base
-        // + 9 expansions), so its injected delay alone is 36.5ms of
-        // perfectly-packed work on 2 workers — one 30ms slice *cannot*
-        // finish it and at least one timeout -> checkpoint -> resume
-        // cycle is forced. Under Tuner, steps are pre-scheduled on their
-        // dependencies and execute exactly once, so every slice makes
-        // real progress and the budget below is generous.
-        let opts = ResilienceOptions {
-            injector: Some(Arc::new(
-                FaultPlan::new(11).slow_steps(1.0, Duration::from_millis(1)),
-            )),
-            recovery: RecoveryPolicy::CheckpointInterval {
-                slice: Duration::from_millis(30),
-                max_resumes: 40,
-            },
-            ..Default::default()
-        };
-        let out = run_benchmark_resilient(Benchmark::Fw, CncVariant::Tuner, 32, 8, 2, &opts)
-            .expect("checkpoint/resume absorbs the slice timeouts");
-        assert!(out.table.bitwise_eq(&oracle.table));
-        let stats = out.cnc_stats.expect("resilient runs always carry stats");
-        assert!(
-            stats.steps_skipped > 0,
-            "no resume happened; the forced timeout did not fire: {stats:?}"
-        );
-        assert!(stats.items_restored > 0, "{stats:?}");
+        for r in [2u32, 4] {
+            // Every step sleeps 1ms. The 32/8 FW graph has 64 base
+            // steps (plus 9 expansions at r=2, 1 at r=4), so its
+            // injected delay alone is 32ms of perfectly-packed work on
+            // 2 workers — one 20ms slice *cannot* finish it and at
+            // least one timeout -> checkpoint -> resume cycle is forced.
+            // Under Tuner, steps are pre-scheduled on their dependencies
+            // and execute exactly once, so every slice makes real
+            // progress and the budget below is generous.
+            let opts = ResilienceOptions {
+                injector: Some(Arc::new(
+                    FaultPlan::new(11).slow_steps(1.0, Duration::from_millis(1)),
+                )),
+                recovery: RecoveryPolicy::CheckpointInterval {
+                    slice: Duration::from_millis(20),
+                    max_resumes: 40,
+                },
+                ..Default::default()
+            };
+            let out = resilient(Benchmark::Fw, CncVariant::Tuner, 32, 2, r, opts)
+                .expect("checkpoint/resume absorbs the slice timeouts");
+            assert!(out.table.bitwise_eq(&oracle.table), "r={r}");
+            let stats = out.cnc_stats.expect("data-flow runs carry stats");
+            assert!(
+                stats.steps_skipped > 0,
+                "r={r}: no resume happened; the forced timeout did not fire: {stats:?}"
+            );
+            assert!(stats.items_restored > 0, "r={r}: {stats:?}");
+        }
     }
 
     #[test]
@@ -1208,7 +1130,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let out = run_benchmark_resilient(Benchmark::Sw, CncVariant::Tuner, 32, 8, 2, &opts)
+        let out = resilient(Benchmark::Sw, CncVariant::Tuner, 32, 2, 2, opts)
             .expect("a generous slice never times out");
         assert!(out.table.bitwise_eq(&oracle.table));
         let stats = out.cnc_stats.unwrap();
@@ -1218,7 +1140,6 @@ mod tests {
 
     #[test]
     fn exhausted_resume_budget_is_a_terminal_timeout() {
-        use recdp_faults::FaultPlan;
         let opts = ResilienceOptions {
             injector: Some(Arc::new(
                 FaultPlan::new(5).slow_steps(1.0, Duration::from_millis(20)),
@@ -1229,55 +1150,65 @@ mod tests {
             },
             ..Default::default()
         };
-        let err = run_benchmark_resilient(Benchmark::Ge, CncVariant::Native, 64, 8, 2, &opts)
+        let err = resilient(Benchmark::Ge, CncVariant::Native, 64, 2, 2, opts)
             .expect_err("10ms slices cannot finish 20ms steps within 2 resumes");
         assert!(matches!(err, CncError::Timeout { .. }), "{err:?}");
     }
 
+    fn traced(benchmark: Benchmark, execution: Execution, on: RunOn) -> (RunOutput, TraceReport) {
+        let oracle = run_benchmark(benchmark, Execution::SerialLoops, 32, 8, 2);
+        let mut out = execute(&Run {
+            trace: true,
+            on,
+            ..Run::new(benchmark, execution, 32, 8, 2)
+        })
+        .expect("traced runs are fault-free");
+        assert!(out.table.bitwise_eq(&oracle.table));
+        let report = out.trace.take().expect("asked for a trace").report();
+        (out, report)
+    }
+
     #[test]
     fn traced_forkjoin_run_matches_oracle_and_records_spans() {
-        let oracle = run_benchmark(Benchmark::Ge, Execution::SerialLoops, 32, 8, 2);
-        let (out, session) = run_benchmark_traced(Benchmark::Ge, Execution::ForkJoin, 32, 8, 2);
-        assert!(out.table.bitwise_eq(&oracle.table));
-        let report = session.report();
+        let (_, report) = traced(Benchmark::Ge, Execution::ForkJoin, RunOn::Threads(2));
         assert!(report.tasks > 0, "no task spans recorded: {report:?}");
         assert!(report.work_ns > 0);
         assert!(report.span_ns <= report.wall_ns.max(1) * 2);
     }
 
     #[test]
-    fn traced_cnc_run_matches_oracle_and_records_steps() {
-        let oracle = run_benchmark(Benchmark::Fw, Execution::SerialLoops, 32, 8, 2);
-        let (out, session) =
-            run_benchmark_traced(Benchmark::Fw, Execution::Cnc(CncVariant::Native), 32, 8, 2);
-        assert!(out.table.bitwise_eq(&oracle.table));
-        let stats = out.cnc_stats.expect("cnc runs carry stats");
-        let report = session.report();
-        assert_eq!(
-            report.steps, stats.steps_started,
-            "one StepRun span per started execution"
-        );
-        assert!(report.work_ns > 0);
+    fn traced_cnc_runs_match_oracle_and_record_steps() {
+        let pool = Arc::new(ThreadPoolBuilder::new().num_threads(2).build());
+        // On a shared pool the graph's steps are still recorded.
+        for (benchmark, variant, on) in [
+            (Benchmark::Fw, CncVariant::Native, RunOn::Threads(2)),
+            (Benchmark::Fw, CncVariant::Native, RunOn::Pool(pool)),
+            (Benchmark::Paren, CncVariant::Tuner, RunOn::Threads(2)),
+        ] {
+            let (out, report) = traced(benchmark, Execution::Cnc(variant), on);
+            let stats = out.cnc_stats.expect("cnc runs carry stats");
+            assert_eq!(
+                report.steps, stats.steps_started,
+                "one StepRun span per started execution"
+            );
+            assert!(report.work_ns > 0);
+        }
     }
 
+    /// A trace is a field, not a precondition: the serial models have
+    /// nothing to trace and say so with an empty session.
     #[test]
-    fn traced_paren_run_matches_oracle() {
-        let oracle = run_benchmark(Benchmark::Paren, Execution::SerialLoops, 32, 8, 2);
-        let (out, session) = run_benchmark_traced(
-            Benchmark::Paren,
-            Execution::Cnc(CncVariant::Tuner),
-            32,
-            8,
-            2,
-        );
-        assert!(out.table.bitwise_eq(&oracle.table));
-        assert!(session.report().work_ns > 0);
+    fn traced_serial_run_returns_an_empty_session() {
+        for execution in [Execution::SerialLoops, Execution::SerialRdp] {
+            let (_, report) = traced(Benchmark::Ge, execution, RunOn::Threads(2));
+            assert_eq!((report.tasks, report.steps, report.work_ns), (0, 0, 0));
+        }
     }
 
     #[test]
     fn auto_base_is_legal_and_tuned_runs_match_explicit_base() {
         for benchmark in Benchmark::EXTENDED {
-            let b = auto_base(benchmark, 32);
+            let b = auto_base(benchmark, 32, Decomposition::BINARY);
             assert!(
                 b.is_power_of_two() && (1..=32).contains(&b),
                 "{}: auto base {b}",
@@ -1320,69 +1251,28 @@ mod tests {
     }
 
     #[test]
-    fn decomposition_width_never_changes_results() {
-        for benchmark in Benchmark::EXTENDED {
-            let oracle = run_benchmark(benchmark, Execution::SerialLoops, 32, 4, 2);
-            for r in [2u32, 4] {
-                for execution in [Execution::SerialRdp, Execution::ForkJoin] {
-                    let out =
-                        run_benchmark_with(benchmark, execution, 32, 4, 2, Decomposition::new(r));
-                    assert!(
-                        out.table.bitwise_eq(&oracle.table),
-                        "{} under {} at r={r}",
-                        benchmark.name(),
-                        execution.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn auto_base_with_keeps_the_top_split_r_wide() {
+    fn auto_base_keeps_the_top_split_r_wide() {
         for benchmark in Benchmark::EXTENDED {
             for r in [2u32, 4, 8] {
                 let d = Decomposition::new(r);
-                let base = auto_base_with(benchmark, 64, d);
+                let base = auto_base(benchmark, 64, d);
                 assert!(
                     base.is_power_of_two() && base * r as usize <= 64,
                     "{} r={r}: clamped base {base} must leave room for an r-wide root",
                     benchmark.name()
                 );
                 // And the clamp never changes results, only tiling.
-                let tuned =
-                    run_benchmark_with(benchmark, Execution::SerialRdp, 64, AUTO_BASE, 1, d);
+                let tuned = execute(&Run {
+                    decomposition: d,
+                    ..Run::new(benchmark, Execution::SerialRdp, 64, AUTO_BASE, 1)
+                })
+                .expect(ONLY_GRAPHS_FAIL);
                 let oracle = run_benchmark(benchmark, Execution::SerialLoops, 64, 8, 1);
                 assert!(
                     tuned.table.bitwise_eq(&oracle.table),
                     "{}",
                     benchmark.name()
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn measured_joins_shrink_as_r_widens() {
-        // The artificial-dependency count (joins) of the fork-join
-        // schedule is a function of the decomposition: wider r means
-        // fewer, wider stages and strictly fewer joins for GE/FW.
-        // n=64 with base=1 gives t=64 tiles, a power of 2, 4 and 8, so
-        // every width recurses uniformly.
-        let pool = ThreadPoolBuilder::new().num_threads(2).build();
-        for benchmark in [Benchmark::Ge, Benchmark::Fw] {
-            let mut last = u64::MAX;
-            for r in [2u32, 4, 8] {
-                let p = prepare_job_with(benchmark, 64, 1, Decomposition::new(r));
-                let measured = p.run_forkjoin_counting(&pool, 1);
-                let walked = p.forkjoin_join_count(1);
-                assert_eq!(measured, walked, "{} r={r}", benchmark.name());
-                assert!(
-                    measured < last,
-                    "{} r={r}: joins {measured} must shrink (was {last})",
-                    benchmark.name()
-                );
-                last = measured;
             }
         }
     }

@@ -43,10 +43,9 @@ pub mod experiment;
 
 pub use analysis::{dag, dag_metrics, Model};
 pub use executor::{
-    auto_base, auto_base_with, integrity_observer, prepare_job, prepare_job_with, prepare_sw_query,
-    run_benchmark, run_benchmark_on, run_benchmark_on_with, run_benchmark_resilient,
-    run_benchmark_traced, run_benchmark_traced_with, run_benchmark_with, Benchmark, Execution,
-    PreparedJob, RecoveryPolicy, ResilienceOptions, RunOutput, AUTO_BASE,
+    auto_base, execute, integrity_observer, prepare_job_with, prepare_sw_query, run_benchmark,
+    Benchmark, Execution, JobRun, PreparedJob, RecoveryPolicy, ResilienceOptions, Run, RunEnv,
+    RunOn, RunOutput, AUTO_BASE,
 };
 pub use experiment::{predict_seconds, FigurePanel, PanelRow, Paradigm};
 
@@ -54,11 +53,9 @@ pub use experiment::{predict_seconds, FigurePanel, PanelRow, Paradigm};
 pub mod prelude {
     pub use crate::analysis::{dag, dag_metrics, Model};
     pub use crate::executor::{
-        auto_base, auto_base_with, integrity_observer, prepare_job, prepare_job_with,
-        prepare_sw_query, run_benchmark, run_benchmark_on, run_benchmark_on_with,
-        run_benchmark_resilient, run_benchmark_traced, run_benchmark_traced_with,
-        run_benchmark_with, Benchmark, Execution, PreparedJob, RecoveryPolicy, ResilienceOptions,
-        RunOutput, AUTO_BASE,
+        auto_base, execute, integrity_observer, prepare_job_with, prepare_sw_query, run_benchmark,
+        Benchmark, Execution, JobRun, PreparedJob, RecoveryPolicy, ResilienceOptions, Run, RunEnv,
+        RunOn, RunOutput, AUTO_BASE,
     };
     pub use crate::experiment::{predict_seconds, FigurePanel, PanelRow, Paradigm};
     pub use recdp_cnc::{BackoffKind, CancelToken, Checkpoint, CncError, CncGraph, RetryPolicy};

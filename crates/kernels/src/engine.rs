@@ -5,6 +5,20 @@
 //! These replace the per-benchmark driver triplication: a benchmark
 //! contributes only its spec (kernel + decomposition + dependencies) and
 //! gets every execution model of the paper for free.
+//!
+//! One function per family, each taking the integrity runtime as an
+//! argument — `None` runs unchecked, `Some` is an [`IntegrityState`] the
+//! caller builds and reads the report from afterwards (whether a
+//! *declared* policy is checked at all is decided once, in
+//! [`crate::IntegrityOptions::config`]):
+//!
+//! | function | what it runs |
+//! |---|---|
+//! | [`run_serial`] | depth-first walk on the calling thread |
+//! | [`run_forkjoin`] | fork per stage member, join per stage, on a pool |
+//! | [`forkjoin_join_count`] | the joins [`run_forkjoin`] counts, by a static walk |
+//! | [`register_cnc`] | the data-flow program's collections, steps and environment puts |
+//! | [`run_cnc`] | [`register_cnc`], then `graph.wait()` |
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,9 +29,31 @@ use recdp_cnc::{
 };
 use recdp_forkjoin::{join, ThreadPool};
 
-use crate::integrity::{self, IntegrityConfig, IntegrityReport, IntegrityState};
+use crate::integrity::{self, IntegrityState};
 use crate::spec::{Call, DpSpec, Tag, TileKey};
 use crate::CncVariant;
+
+/// Runs one base tile, through the snapshot / inject / verify / repair
+/// pipeline of [`integrity::execute_tile`] on a checked run. Returns the
+/// digest the producer vouches for (`0` on unchecked runs).
+///
+/// # Safety
+/// Same contract as [`DpSpec::run_tile`].
+#[inline]
+unsafe fn run_tile<S: DpSpec>(
+    spec: &S,
+    func: usize,
+    tile: TileKey,
+    integrity: Option<&IntegrityState>,
+) -> u64 {
+    match integrity {
+        Some(st) => integrity::execute_tile(spec, spec.step_names()[func], tile, st),
+        None => {
+            spec.run_tile(tile);
+            0
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Serial R-DP engine
@@ -25,45 +61,23 @@ use crate::CncVariant;
 
 /// Runs the recursion depth-first on the calling thread — the serial
 /// R-DP execution (Fig. 2's order): stages in order, calls within a
-/// stage left to right.
-pub fn run_serial<S: DpSpec>(spec: &S) {
-    serial_call(spec, &spec.root());
+/// stage left to right. On a checked run every base tile is verified
+/// (and, on a digest mismatch, recomputed) before the walk moves on.
+pub fn run_serial<S: DpSpec>(spec: &S, integrity: Option<&IntegrityState>) {
+    serial_call(spec, &spec.root(), integrity);
 }
 
-fn serial_call<S: DpSpec>(spec: &S, call: &Call) {
+fn serial_call<S: DpSpec>(spec: &S, call: &Call, integrity: Option<&IntegrityState>) {
     if call.s == 1 {
         // SAFETY: depth-first stage order is a topological order of the
         // tile graph (stages sequence every dependency per the DpSpec
         // contract), and a single thread runs one tile at a time.
-        unsafe { spec.run_tile(spec.tile(call)) };
+        unsafe { run_tile(spec, call.func, spec.tile(call), integrity) };
         return;
     }
     for stage in spec.expand(call) {
         for sub in &stage {
-            serial_call(spec, sub);
-        }
-    }
-}
-
-/// [`run_serial`] under an integrity policy: every base tile runs
-/// through the snapshot / inject / verify / repair pipeline of
-/// [`integrity::execute_tile`]. Returns what the integrity layer saw;
-/// [`IntegrityReport::ok`] surfaces an unrepairable tile as an error.
-pub fn run_serial_checked<S: DpSpec>(spec: &S, cfg: IntegrityConfig) -> IntegrityReport {
-    let st = IntegrityState::new(cfg);
-    serial_call_checked(spec, &spec.root(), &st);
-    st.report()
-}
-
-fn serial_call_checked<S: DpSpec>(spec: &S, call: &Call, st: &IntegrityState) {
-    if call.s == 1 {
-        // SAFETY: same topological-order argument as `serial_call`.
-        unsafe { integrity::execute_tile(spec, spec.step_names()[call.func], spec.tile(call), st) };
-        return;
-    }
-    for stage in spec.expand(call) {
-        for sub in &stage {
-            serial_call_checked(spec, sub, st);
+            serial_call(spec, sub, integrity);
         }
     }
 }
@@ -76,50 +90,34 @@ fn serial_call_checked<S: DpSpec>(spec: &S, call: &Call, st: &IntegrityState) {
 /// at every stage boundary — the paper's Listing-3 execution (`#pragma
 /// omp task` + `taskwait`), where the joins are exactly the *artificial
 /// dependencies* of Fig. 3.
-pub fn run_forkjoin<S: DpSpec>(spec: &S, pool: &ThreadPool) {
-    run_forkjoin_grained(spec, pool, 1);
-}
-
-/// [`run_forkjoin`] with **grain control** for wide stages: a chunk of
-/// at most `grain` sibling calls runs sequentially instead of forking
-/// further. `grain = 1` is exactly [`run_forkjoin`] (every sibling pair
-/// forks); wider decompositions produce stages of up to `r^2` siblings,
-/// and a larger grain trades stage parallelism for fewer forks/joins.
-pub fn run_forkjoin_grained<S: DpSpec>(spec: &S, pool: &ThreadPool, grain: usize) {
-    let grain = grain.max(1);
-    pool.install(|| forkjoin_call(spec, &spec.root(), grain, None, None));
-}
-
-/// [`run_forkjoin_grained`] under an integrity policy: each base tile
-/// is verified (and, on a digest mismatch, recomputed) *inside its own
-/// task*, i.e. before the enclosing stage barrier releases — no
-/// consumer in a later stage can observe an unverified tile.
-pub fn run_forkjoin_checked<S: DpSpec>(
+///
+/// `grain` is the fork grain for wide stages: a chunk of at most `grain`
+/// sibling calls runs sequentially instead of forking further. `1`
+/// forks every sibling pair; wider decompositions produce stages of up
+/// to `r^2` siblings, and a larger grain trades stage parallelism for
+/// fewer forks/joins.
+///
+/// `joins`, when given, counts the joins executed — one per *forked
+/// stage barrier*, i.e. each stage wider than `grain`, whose sibling
+/// list is forked onto the pool and then waited for. How the pool
+/// realises an N-way fork internally (a binary split tree) is a runtime
+/// detail and is not counted: the join count is a property of the
+/// algorithm's stage structure, so it is deterministic and
+/// schedule-independent.
+///
+/// On a checked run each base tile is verified (and, on a digest
+/// mismatch, recomputed) *inside its own task*, i.e. before the
+/// enclosing stage barrier releases — no consumer in a later stage can
+/// observe an unverified tile.
+pub fn run_forkjoin<S: DpSpec>(
     spec: &S,
     pool: &ThreadPool,
     grain: usize,
-    cfg: IntegrityConfig,
-) -> IntegrityReport {
+    joins: Option<&AtomicU64>,
+    integrity: Option<&IntegrityState>,
+) {
     let grain = grain.max(1);
-    let st = IntegrityState::new(cfg);
-    pool.install(|| forkjoin_call(spec, &spec.root(), grain, None, Some(&st)));
-    st.report()
-}
-
-/// Runs the recursion like [`run_forkjoin_grained`] while counting the
-/// joins actually executed — one per *forked stage barrier*, i.e. each
-/// stage whose sibling list is forked onto the pool and then waited
-/// for (Listing 3's `taskwait`), the paper's *artificial dependencies*.
-/// How the work-stealing pool realises an N-way fork internally (a
-/// binary split tree) is a runtime detail and is not counted: the join
-/// count is a property of the algorithm's stage structure, so it is
-/// deterministic and schedule-independent. Stages of at most `grain`
-/// calls run serially and contribute no join.
-pub fn run_forkjoin_counting<S: DpSpec>(spec: &S, pool: &ThreadPool, grain: usize) -> u64 {
-    let grain = grain.max(1);
-    let joins = AtomicU64::new(0);
-    pool.install(|| forkjoin_call(spec, &spec.root(), grain, Some(&joins), None));
-    joins.into_inner()
+    pool.install(|| forkjoin_call(spec, &spec.root(), grain, joins, integrity));
 }
 
 fn forkjoin_call<S: DpSpec>(
@@ -132,19 +130,7 @@ fn forkjoin_call<S: DpSpec>(
     if call.s == 1 {
         // SAFETY: calls within a stage touch disjoint tiles (DpSpec
         // contract) and the joins sequence every cross-stage dependency.
-        unsafe {
-            match integrity {
-                Some(st) => {
-                    integrity::execute_tile(
-                        spec,
-                        spec.step_names()[call.func],
-                        spec.tile(call),
-                        st,
-                    );
-                }
-                None => spec.run_tile(spec.tile(call)),
-            }
-        }
+        unsafe { run_tile(spec, call.func, spec.tile(call), integrity) };
         return;
     }
     for stage in spec.expand(call) {
@@ -183,13 +169,12 @@ fn forkjoin_split<S: DpSpec>(
     }
 }
 
-/// Predicts the join count of [`run_forkjoin_counting`] by statically
+/// Predicts the join count [`run_forkjoin`] reports by statically
 /// walking the spec's stage structure without executing any tile: each
 /// stage wider than `grain` is one forked barrier and contributes one
 /// join, plus whatever its sub-calls' own expansions contribute.
 /// Independent cross-check: `recdp-taskgraph`'s r-way predictors must
-/// agree with this walk *and* with the measured count from
-/// [`run_forkjoin_counting`].
+/// agree with this walk *and* with the measured count.
 pub fn forkjoin_join_count<S: DpSpec>(spec: &S, grain: usize) -> u64 {
     count_call(spec, &spec.root(), grain.max(1))
 }
@@ -292,9 +277,10 @@ impl<S: DpSpec> EngineCtx<S> {
                 return Ok(StepOutcome::Done);
             }
         }
+        let integrity = self.integrity.as_deref();
         for r in self.spec.reads(tile) {
             let received = self.items.get(scope, &r)?;
-            if let Some(st) = &self.integrity {
+            if let Some(st) = integrity {
                 st.check_payload(self.spec.item_name(), r, received);
             }
         }
@@ -308,103 +294,48 @@ impl<S: DpSpec> EngineCtx<S> {
         // (single assignment on the item collection enforces it), and
         // every tile in `reads` was completed by the task whose item the
         // get above observed.
-        let payload = match &self.integrity {
-            Some(st) => {
-                let digest = unsafe {
-                    integrity::execute_tile(&self.spec, self.spec.step_names()[func], tile, st)
-                };
-                st.outgoing_payload(self.spec.item_name(), tile, digest)
-            }
-            None => {
-                unsafe { self.spec.run_tile(tile) };
-                0
-            }
+        let digest = unsafe { run_tile(&self.spec, func, tile, integrity) };
+        let payload = match integrity {
+            Some(st) => st.outgoing_payload(self.spec.item_name(), tile, digest),
+            None => digest,
         };
         self.items.put(tile, payload)?;
         Ok(StepOutcome::Done)
     }
 }
 
-/// Runs the spec's data-flow program on a fresh CnC graph with
-/// `threads` workers. Returns the graph's execution statistics (requeue
-/// counts etc. — the observable difference between the variants).
-pub fn run_cnc<S: DpSpec>(spec: &S, variant: CncVariant, threads: usize) -> GraphStats {
-    let graph = CncGraph::with_threads(threads);
-    run_cnc_on(spec, variant, &graph).expect("CnC graph failed")
-}
-
-/// [`run_cnc`] under an integrity policy. Detection and repair both
-/// happen inside the producing step, before the tile's readiness item
-/// is put, so single assignment is never violated; on top of that the
-/// item payload carries the producer's digest end-to-end, so a mangled
-/// put is caught by the consumer against the digest registry.
-pub fn run_cnc_checked<S: DpSpec>(
-    spec: &S,
-    variant: CncVariant,
-    threads: usize,
-    cfg: IntegrityConfig,
-) -> (GraphStats, IntegrityReport) {
-    let graph = CncGraph::with_threads(threads);
-    run_cnc_checked_on(spec, variant, &graph, cfg).expect("CnC graph failed")
-}
-
-/// Fallible form of [`run_cnc_checked`] on a caller-supplied graph
-/// (retry policy, deadline, fault injector already armed). The graph's
-/// structured error takes precedence; an unrepairable tile is reported
-/// via [`IntegrityReport::error`] so the caller decides how to
-/// escalate.
-pub fn run_cnc_checked_on<S: DpSpec>(
+/// Runs the spec's data-flow program on `graph`: [`register_cnc`], then
+/// wait for quiescence. The caller builds the graph and arms its retry
+/// policy, deadline, cancellation token, tracer or fault injector
+/// beforehand; the graph's structured error (retry exhaustion,
+/// deadlock, timeout, cancellation) is returned, never panicked. An
+/// unrepairable tile of a checked run is *not* an error here: it is in
+/// the state's report, so the caller decides how to escalate.
+pub fn run_cnc<S: DpSpec>(
     spec: &S,
     variant: CncVariant,
     graph: &CncGraph,
-    cfg: IntegrityConfig,
-) -> Result<(GraphStats, IntegrityReport), CncError> {
-    let st = register_cnc_checked_on(spec, variant, graph, cfg);
-    let stats = graph.wait()?;
-    Ok((stats, st.report()))
-}
-
-/// Fallible form of [`run_cnc`] on a caller-supplied graph, so the
-/// caller can arm a retry policy, deadline, cancellation token or fault
-/// injector before execution. Propagates the graph's structured error
-/// (retry exhaustion, deadlock, timeout, cancellation) instead of
-/// panicking.
-pub fn run_cnc_on<S: DpSpec>(
-    spec: &S,
-    variant: CncVariant,
-    graph: &CncGraph,
+    integrity: Option<Arc<IntegrityState>>,
 ) -> Result<GraphStats, CncError> {
-    register_cnc_on(spec, variant, graph);
+    register_cnc(spec, variant, graph, integrity);
     graph.wait()
 }
 
 /// Registers the spec's data-flow program on `graph` and publishes the
-/// environment puts, but does **not** wait for completion. This is the
-/// registration half of [`run_cnc_on`], split out so checkpoint/resume
-/// drivers can re-register the same program on a fresh graph seeded
-/// via [`CncGraph::resume_from`] (which must happen *before* any
-/// collection exists) and so managed-scheduler harnesses can drive the
-/// ready queue step by step.
-pub fn register_cnc_on<S: DpSpec>(spec: &S, variant: CncVariant, graph: &CncGraph) {
-    register_cnc_with(spec, variant, graph, None);
-}
-
-/// [`register_cnc_on`] with an integrity runtime attached: returns the
-/// shared [`IntegrityState`] so callers that drive the graph themselves
-/// (resume drivers, managed-scheduler harnesses, the job server) can
-/// collect the [`IntegrityReport`] after quiescence.
-pub fn register_cnc_checked_on<S: DpSpec>(
-    spec: &S,
-    variant: CncVariant,
-    graph: &CncGraph,
-    cfg: IntegrityConfig,
-) -> Arc<IntegrityState> {
-    let st = Arc::new(IntegrityState::new(cfg));
-    register_cnc_with(spec, variant, graph, Some(st.clone()));
-    st
-}
-
-fn register_cnc_with<S: DpSpec>(
+/// environment puts, but does **not** wait for completion. Split out of
+/// [`run_cnc`] so checkpoint/resume drivers can re-register the same
+/// program on a fresh graph seeded via [`CncGraph::resume_from`] (which
+/// must happen *before* any collection exists), so managed-scheduler
+/// harnesses can drive the ready queue step by step, and so batch
+/// drivers can put many programs behind one `graph.wait()`.
+///
+/// On a checked run, detection and repair both happen inside the
+/// producing step, before the tile's readiness item is put, so single
+/// assignment is never violated; on top of that the item payload
+/// carries the producer's digest end-to-end, so a mangled put is caught
+/// by the consumer against the digest registry. The caller keeps its
+/// clone of the state and reads the report after quiescence.
+pub fn register_cnc<S: DpSpec>(
     spec: &S,
     variant: CncVariant,
     graph: &CncGraph,
@@ -523,10 +454,16 @@ mod tests {
         }
     }
 
+    fn counted_joins<S: DpSpec>(spec: &S, pool: &ThreadPool, grain: usize) -> u64 {
+        let joins = AtomicU64::new(0);
+        run_forkjoin(spec, pool, grain, Some(&joins), None);
+        joins.into_inner()
+    }
+
     #[test]
     fn serial_engine_runs_every_tile_once() {
         let spec = chain(8);
-        run_serial(&spec);
+        run_serial(&spec, None);
         assert_eq!(spec.ran.load(Ordering::Relaxed), 8);
     }
 
@@ -536,7 +473,7 @@ mod tests {
             .num_threads(2)
             .build();
         let spec = chain(8);
-        run_forkjoin(&spec, &pool);
+        run_forkjoin(&spec, &pool, 1, None, None);
         assert_eq!(spec.ran.load(Ordering::Relaxed), 8);
     }
 
@@ -544,7 +481,7 @@ mod tests {
     fn cnc_engine_runs_every_tile_once_under_all_variants() {
         for variant in CncVariant::ALL4 {
             let spec = chain(8);
-            let stats = run_cnc(&spec, variant, 2);
+            let stats = run_cnc(&spec, variant, &CncGraph::with_threads(2), None).unwrap();
             assert_eq!(spec.ran.load(Ordering::Relaxed), 8, "{variant:?}");
             assert_eq!(stats.items_put, 8, "{variant:?}");
         }
@@ -559,7 +496,7 @@ mod tests {
             .build();
         for grain in [1usize, 4] {
             let spec = chain(8);
-            assert_eq!(run_forkjoin_counting(&spec, &pool, grain), 0);
+            assert_eq!(counted_joins(&spec, &pool, grain), 0);
             assert_eq!(spec.ran.load(Ordering::Relaxed), 8);
             assert_eq!(forkjoin_join_count(&spec, grain), 0);
         }
@@ -625,7 +562,7 @@ mod tests {
                 ran: Arc::new(AtomicUsize::new(0)),
             };
             assert_eq!(
-                run_forkjoin_counting(&spec, &pool, grain),
+                counted_joins(&spec, &pool, grain),
                 expect,
                 "w={w} grain={grain}"
             );
@@ -637,7 +574,7 @@ mod tests {
     #[test]
     fn manual_runs_only_base_steps() {
         let spec = chain(8);
-        let stats = run_cnc(&spec, CncVariant::Manual, 2);
+        let stats = run_cnc(&spec, CncVariant::Manual, &CncGraph::with_threads(2), None).unwrap();
         assert_eq!(stats.steps_completed, 8);
         assert_eq!(stats.tags_put, 8);
     }

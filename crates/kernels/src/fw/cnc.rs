@@ -5,7 +5,7 @@
 
 use recdp_cnc::{CncError, CncGraph, GraphStats};
 
-use crate::engine::{run_cnc, run_cnc_on};
+use crate::engine::run_cnc;
 use crate::table::Matrix;
 use crate::CncVariant;
 
@@ -13,9 +13,7 @@ use super::{check_sizes, spec::FwSpec};
 
 /// In-place data-flow FW with base size `base` on `threads` workers.
 pub fn fw_cnc(dist: &mut Matrix, base: usize, variant: CncVariant, threads: usize) -> GraphStats {
-    let n = dist.n();
-    check_sizes(n, base);
-    run_cnc(&FwSpec::new(dist.ptr(), base), variant, threads)
+    fw_cnc_on(dist, base, variant, &CncGraph::with_threads(threads)).expect("CnC graph failed")
 }
 
 /// Fallible form of [`fw_cnc`] running on a caller-supplied graph, so the
@@ -30,7 +28,7 @@ pub fn fw_cnc_on(
 ) -> Result<GraphStats, CncError> {
     let n = dist.n();
     check_sizes(n, base);
-    run_cnc_on(&FwSpec::new(dist.ptr(), base), variant, graph)
+    run_cnc(&FwSpec::new(dist.ptr(), base), variant, graph, None)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use super::{check_sizes, spec::FwSpec};
 pub fn fw_forkjoin(dist: &mut Matrix, base: usize, pool: &ThreadPool) {
     let n = dist.n();
     check_sizes(n, base);
-    run_forkjoin(&FwSpec::new(dist.ptr(), base), pool);
+    run_forkjoin(&FwSpec::new(dist.ptr(), base), pool, 1, None, None);
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use super::{check_sizes, spec::FwSpec};
 pub fn fw_rdp(dist: &mut Matrix, base: usize) {
     let n = dist.n();
     check_sizes(n, base);
-    run_serial(&FwSpec::new(dist.ptr(), base));
+    run_serial(&FwSpec::new(dist.ptr(), base), None);
 }
 
 #[cfg(test)]

@@ -277,11 +277,11 @@ mod tests {
         let n = 64;
         let base = 4;
         let mut reference = fw_matrix(n, 7, 0.4);
-        run_serial(&FwSpec::new(reference.ptr(), base));
+        run_serial(&FwSpec::new(reference.ptr(), base), None);
         for r in [4u32, 8, 16] {
             let mut m = fw_matrix(n, 7, 0.4);
             let spec = FwSpec::new(m.ptr(), base).with_decomposition(Decomposition::new(r));
-            run_serial(&spec);
+            run_serial(&spec, None);
             assert!(m.bitwise_eq(&reference), "r={r}");
         }
     }

@@ -25,7 +25,7 @@
 
 use recdp_cnc::{CncError, CncGraph, GraphStats};
 
-use crate::engine::{run_cnc, run_cnc_on};
+use crate::engine::run_cnc;
 use crate::table::Matrix;
 use crate::CncVariant;
 
@@ -36,9 +36,7 @@ use super::{check_rdp_sizes, spec::GeSpec};
 /// (requeue counts etc. — the observable difference between the
 /// variants).
 pub fn ge_cnc(mat: &mut Matrix, base: usize, variant: CncVariant, threads: usize) -> GraphStats {
-    let n = mat.n();
-    check_rdp_sizes(n, base);
-    run_cnc(&GeSpec::new(mat.ptr(), base), variant, threads)
+    ge_cnc_on(mat, base, variant, &CncGraph::with_threads(threads)).expect("CnC graph failed")
 }
 
 /// Fallible form of [`ge_cnc`] running on a caller-supplied graph, so the
@@ -54,7 +52,7 @@ pub fn ge_cnc_on(
 ) -> Result<GraphStats, CncError> {
     let n = mat.n();
     check_rdp_sizes(n, base);
-    run_cnc_on(&GeSpec::new(mat.ptr(), base), variant, graph)
+    run_cnc(&GeSpec::new(mat.ptr(), base), variant, graph, None)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use super::{check_rdp_sizes, spec::GeSpec};
 pub fn ge_forkjoin(mat: &mut Matrix, base: usize, pool: &ThreadPool) {
     let n = mat.n();
     check_rdp_sizes(n, base);
-    run_forkjoin(&GeSpec::new(mat.ptr(), base), pool);
+    run_forkjoin(&GeSpec::new(mat.ptr(), base), pool, 1, None, None);
 }
 
 #[cfg(test)]

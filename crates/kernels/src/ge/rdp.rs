@@ -11,7 +11,7 @@ use super::{check_rdp_sizes, spec::GeSpec};
 pub fn ge_rdp(mat: &mut Matrix, base: usize) {
     let n = mat.n();
     check_rdp_sizes(n, base);
-    run_serial(&GeSpec::new(mat.ptr(), base));
+    run_serial(&GeSpec::new(mat.ptr(), base), None);
 }
 
 #[cfg(test)]

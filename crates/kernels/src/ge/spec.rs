@@ -256,11 +256,11 @@ mod tests {
         let n = 64;
         let base = 4; // t = 16 tiles: r in {2, 4} aligned, 8 clamps
         let mut reference = ge_matrix(n, 7);
-        run_serial(&GeSpec::new(reference.ptr(), base));
+        run_serial(&GeSpec::new(reference.ptr(), base), None);
         for r in [4u32, 8, 16] {
             let mut m = ge_matrix(n, 7);
             let spec = GeSpec::new(m.ptr(), base).with_decomposition(Decomposition::new(r));
-            run_serial(&spec);
+            run_serial(&spec, None);
             assert!(m.bitwise_eq(&reference), "r={r}");
         }
     }

@@ -35,7 +35,7 @@
 //! recomputes still disagree, the engine records a structured
 //! [`IntegrityError`] carrying the tile identity and both digests, lets
 //! the graph quiesce (the last value is still published so no consumer
-//! parks forever), and the checked entry point surfaces the error.
+//! parks forever), and the report carries the error to the caller.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -100,6 +100,29 @@ impl Default for IntegrityOptions {
             seed: 0,
             max_repair_attempts: 3,
         }
+    }
+}
+
+impl IntegrityOptions {
+    /// The runtime configuration of a run declared with these options,
+    /// with `injector` attached as the corruption source (the same plan
+    /// that injects step failures also flips tile cells and mangles put
+    /// payloads) — or `None` when the declared mode is
+    /// [`IntegrityMode::Off`]. This is the one place the checked /
+    /// unchecked decision is made: on `None` the engines run unchecked —
+    /// no [`IntegrityState`], no anti-dependence edges, item payload `0`
+    /// — even if an injector is armed for other fault classes. Note
+    /// `IntegrityMode::Sample(0.0)` is *not* `Off`: it injects without
+    /// ever verifying — the "silent corruption" baseline. An
+    /// [`IntegrityConfig`] built explicitly is always a checked run,
+    /// whatever its mode.
+    pub fn config(&self, injector: Option<&Arc<dyn FaultInjector>>) -> Option<IntegrityConfig> {
+        if self.mode == IntegrityMode::Off {
+            return None;
+        }
+        let mut cfg = IntegrityConfig::from(*self);
+        cfg.injector = injector.cloned();
+        Some(cfg)
     }
 }
 
@@ -435,7 +458,7 @@ impl IntegrityState {
                     attempts: attempt,
                 });
                 // Publish the reference anyway so the graph quiesces;
-                // the checked entry point surfaces the error.
+                // the report carries the error to the caller.
                 return reference;
             }
             attempt += 1;

@@ -4,7 +4,7 @@
 
 use recdp_cnc::{CncError, CncGraph, GraphStats};
 
-use crate::engine::{run_cnc, run_cnc_on};
+use crate::engine::run_cnc;
 use crate::table::Matrix;
 use crate::CncVariant;
 
@@ -19,9 +19,8 @@ pub fn lcs_cnc(
     variant: CncVariant,
     threads: usize,
 ) -> GraphStats {
-    let n = table.n();
-    check_sizes(n, base, a, b);
-    run_cnc(&LcsSpec::new(table.ptr(), a, b, base), variant, threads)
+    lcs_cnc_on(table, a, b, base, variant, &CncGraph::with_threads(threads))
+        .expect("CnC graph failed")
 }
 
 /// Fallible form of [`lcs_cnc`] running on a caller-supplied graph, so
@@ -38,7 +37,7 @@ pub fn lcs_cnc_on(
 ) -> Result<GraphStats, CncError> {
     let n = table.n();
     check_sizes(n, base, a, b);
-    run_cnc_on(&LcsSpec::new(table.ptr(), a, b, base), variant, graph)
+    run_cnc(&LcsSpec::new(table.ptr(), a, b, base), variant, graph, None)
 }
 
 #[cfg(test)]

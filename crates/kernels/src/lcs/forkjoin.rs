@@ -12,7 +12,7 @@ use super::{check_sizes, spec::LcsSpec};
 pub fn lcs_forkjoin(table: &mut Matrix, a: &[u8], b: &[u8], base: usize, pool: &ThreadPool) {
     let n = table.n();
     check_sizes(n, base, a, b);
-    run_forkjoin(&LcsSpec::new(table.ptr(), a, b, base), pool);
+    run_forkjoin(&LcsSpec::new(table.ptr(), a, b, base), pool, 1, None, None);
 }
 
 #[cfg(test)]

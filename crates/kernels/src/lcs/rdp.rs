@@ -9,7 +9,7 @@ use super::{check_sizes, spec::LcsSpec};
 pub fn lcs_rdp(table: &mut Matrix, a: &[u8], b: &[u8], base: usize) {
     let n = table.n();
     check_sizes(n, base, a, b);
-    run_serial(&LcsSpec::new(table.ptr(), a, b, base));
+    run_serial(&LcsSpec::new(table.ptr(), a, b, base), None);
 }
 
 #[cfg(test)]

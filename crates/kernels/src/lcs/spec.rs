@@ -143,11 +143,11 @@ mod tests {
         let a = dna_sequence(n, 5);
         let b = dna_sequence(n, 6);
         let mut reference = Matrix::zeros(n);
-        run_serial(&LcsSpec::new(reference.ptr(), &a, &b, 4));
+        run_serial(&LcsSpec::new(reference.ptr(), &a, &b, 4), None);
         for r in [4u32, 8, 16] {
             let mut m = Matrix::zeros(n);
             let spec = LcsSpec::new(m.ptr(), &a, &b, 4).with_decomposition(Decomposition::new(r));
-            run_serial(&spec);
+            run_serial(&spec, None);
             assert!(m.bitwise_eq(&reference), "r={r}");
         }
     }

@@ -10,7 +10,7 @@
 
 use recdp_cnc::{CncError, CncGraph, GraphStats};
 
-use crate::engine::{run_cnc, run_cnc_on};
+use crate::engine::run_cnc;
 use crate::table::Matrix;
 use crate::CncVariant;
 
@@ -25,9 +25,8 @@ pub fn paren_cnc(
     variant: CncVariant,
     threads: usize,
 ) -> GraphStats {
-    let n = table.n();
-    check_sizes(n, base, dims);
-    run_cnc(&ParenSpec::new(table.ptr(), dims, base), variant, threads)
+    paren_cnc_on(table, dims, base, variant, &CncGraph::with_threads(threads))
+        .expect("CnC graph failed")
 }
 
 /// Fallible form of [`paren_cnc`] running on a caller-supplied graph,
@@ -43,7 +42,12 @@ pub fn paren_cnc_on(
 ) -> Result<GraphStats, CncError> {
     let n = table.n();
     check_sizes(n, base, dims);
-    run_cnc_on(&ParenSpec::new(table.ptr(), dims, base), variant, graph)
+    run_cnc(
+        &ParenSpec::new(table.ptr(), dims, base),
+        variant,
+        graph,
+        None,
+    )
 }
 
 #[cfg(test)]

@@ -19,7 +19,13 @@ use super::{check_sizes, spec::ParenSpec};
 pub fn paren_forkjoin(table: &mut Matrix, dims: &[f64], base: usize, pool: &ThreadPool) {
     let n = table.n();
     check_sizes(n, base, dims);
-    run_forkjoin(&ParenSpec::new(table.ptr(), dims, base), pool);
+    run_forkjoin(
+        &ParenSpec::new(table.ptr(), dims, base),
+        pool,
+        1,
+        None,
+        None,
+    );
 }
 
 #[cfg(test)]

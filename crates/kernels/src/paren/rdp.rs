@@ -10,7 +10,7 @@ use super::{check_sizes, spec::ParenSpec};
 pub fn paren_rdp(table: &mut Matrix, dims: &[f64], base: usize) {
     let n = table.n();
     check_sizes(n, base, dims);
-    run_serial(&ParenSpec::new(table.ptr(), dims, base));
+    run_serial(&ParenSpec::new(table.ptr(), dims, base), None);
 }
 
 #[cfg(test)]

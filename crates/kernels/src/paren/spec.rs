@@ -239,12 +239,12 @@ mod tests {
         let n = 64;
         let dims = chain_dims(n, 9);
         let mut reference = Matrix::zeros(n);
-        run_serial(&ParenSpec::new(reference.ptr(), &dims, 4));
+        run_serial(&ParenSpec::new(reference.ptr(), &dims, 4), None);
         for r in [4u32, 8, 16] {
             let mut m = Matrix::zeros(n);
             let s = ParenSpec::new(m.ptr(), &dims, 4)
                 .with_decomposition(crate::spec::Decomposition::new(r));
-            run_serial(&s);
+            run_serial(&s, None);
             assert!(m.bitwise_eq(&reference), "r={r}");
         }
     }

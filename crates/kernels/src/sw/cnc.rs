@@ -6,7 +6,7 @@
 
 use recdp_cnc::{CncError, CncGraph, GraphStats};
 
-use crate::engine::{run_cnc, run_cnc_on};
+use crate::engine::run_cnc;
 use crate::table::Matrix;
 use crate::CncVariant;
 
@@ -21,9 +21,8 @@ pub fn sw_cnc(
     variant: CncVariant,
     threads: usize,
 ) -> GraphStats {
-    let n = table.n();
-    check_sizes(n, base, a, b);
-    run_cnc(&SwSpec::new(table.ptr(), a, b, base), variant, threads)
+    sw_cnc_on(table, a, b, base, variant, &CncGraph::with_threads(threads))
+        .expect("CnC graph failed")
 }
 
 /// Fallible form of [`sw_cnc`] running on a caller-supplied graph, so the
@@ -40,7 +39,7 @@ pub fn sw_cnc_on(
 ) -> Result<GraphStats, CncError> {
     let n = table.n();
     check_sizes(n, base, a, b);
-    run_cnc_on(&SwSpec::new(table.ptr(), a, b, base), variant, graph)
+    run_cnc(&SwSpec::new(table.ptr(), a, b, base), variant, graph, None)
 }
 
 #[cfg(test)]

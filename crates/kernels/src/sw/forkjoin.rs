@@ -18,7 +18,7 @@ use super::{check_sizes, spec::SwSpec};
 pub fn sw_forkjoin(table: &mut Matrix, a: &[u8], b: &[u8], base: usize, pool: &ThreadPool) {
     let n = table.n();
     check_sizes(n, base, a, b);
-    run_forkjoin(&SwSpec::new(table.ptr(), a, b, base), pool);
+    run_forkjoin(&SwSpec::new(table.ptr(), a, b, base), pool, 1, None, None);
 }
 
 #[cfg(test)]

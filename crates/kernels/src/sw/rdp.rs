@@ -10,7 +10,7 @@ use super::{check_sizes, spec::SwSpec};
 pub fn sw_rdp(table: &mut Matrix, a: &[u8], b: &[u8], base: usize) {
     let n = table.n();
     check_sizes(n, base, a, b);
-    run_serial(&SwSpec::new(table.ptr(), a, b, base));
+    run_serial(&SwSpec::new(table.ptr(), a, b, base), None);
 }
 
 #[cfg(test)]

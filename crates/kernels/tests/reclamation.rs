@@ -2,7 +2,7 @@
 //! dropped: every clone of the spec it hands to step bodies is released,
 //! for all five benchmarks, under every variant, checked and unchecked.
 //!
-//! `register_cnc_*` shares one context (spec + the tag and item
+//! `register_cnc` shares one context (spec + the tag and item
 //! collections) among all step bodies, so the bodies own handles to the
 //! collections that own them. The spec here is wrapped in a clone/drop
 //! counter: if that cycle survives the graph, the count stays up.
@@ -12,11 +12,11 @@ use std::sync::Arc;
 
 use recdp_cnc::CncGraph;
 use recdp_forkjoin::{ThreadPool, ThreadPoolBuilder};
-use recdp_kernels::engine::{run_cnc_checked_on, run_cnc_on};
+use recdp_kernels::engine::run_cnc;
 use recdp_kernels::workloads::{chain_dims, dna_sequence, fw_matrix, ge_matrix};
 use recdp_kernels::{
     fw::FwSpec, ge::GeSpec, lcs::LcsSpec, paren::ParenSpec, sw::SwSpec, Call, CncVariant, DpSpec,
-    IntegrityConfig, IntegrityMode, IntegrityOptions, Matrix, TileKey, TileRegion,
+    IntegrityConfig, IntegrityMode, IntegrityOptions, IntegrityState, Matrix, TileKey, TileRegion,
 };
 
 const N: usize = 32;
@@ -101,16 +101,18 @@ fn assert_reclaimed<S: DpSpec>(name: &str, pool: &Arc<ThreadPool>, make: impl Fn
                 live: Arc::clone(&live),
             };
             let graph = CncGraph::with_pool(Arc::clone(pool));
-            if checked {
-                let cfg = IntegrityConfig::from(IntegrityOptions {
-                    mode: IntegrityMode::Full,
-                    ..IntegrityOptions::default()
-                });
-                let (_, report) = run_cnc_checked_on(&spec, variant, &graph, cfg)
-                    .unwrap_or_else(|e| panic!("{what}: {e:?}"));
-                report.ok().unwrap_or_else(|e| panic!("{what}: {e:?}"));
-            } else {
-                run_cnc_on(&spec, variant, &graph).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            let integrity = checked.then(|| {
+                Arc::new(IntegrityState::new(IntegrityConfig::from(
+                    IntegrityOptions {
+                        mode: IntegrityMode::Full,
+                        ..IntegrityOptions::default()
+                    },
+                )))
+            });
+            run_cnc(&spec, variant, &graph, integrity.clone())
+                .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            if let Some(st) = integrity {
+                st.report().ok().unwrap_or_else(|e| panic!("{what}: {e:?}"));
             }
             assert!(
                 live.load(Ordering::SeqCst) > 1,

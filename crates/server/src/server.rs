@@ -9,10 +9,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use recdp::{prepare_job_with, prepare_sw_query, Execution, PreparedJob};
+use recdp::{prepare_job_with, prepare_sw_query, Execution, JobRun, PreparedJob, RunEnv};
 use recdp_cnc::{CncError, CncGraph, GraphStats};
 use recdp_forkjoin::{ThreadPool, ThreadPoolBuilder};
-use recdp_kernels::{IntegrityConfig, IntegrityMode, IntegrityReport};
+use recdp_kernels::IntegrityReport;
 use recdp_trace::{panic_message, TraceSession, Tracer};
 
 use crate::job::{
@@ -381,39 +381,6 @@ fn map_cnc_err(e: CncError) -> JobError {
     }
 }
 
-fn add_stats(acc: &mut GraphStats, s: GraphStats) {
-    acc.steps_started += s.steps_started;
-    acc.steps_completed += s.steps_completed;
-    acc.steps_requeued += s.steps_requeued;
-    acc.steps_retried += s.steps_retried;
-    acc.faults_injected += s.faults_injected;
-    acc.delays_injected += s.delays_injected;
-    acc.items_put += s.items_put;
-    acc.gets_ok += s.gets_ok;
-    acc.gets_blocked += s.gets_blocked;
-    acc.gets_nb_missing += s.gets_nb_missing;
-    acc.nb_retries += s.nb_retries;
-    acc.tags_put += s.tags_put;
-    acc.steps_skipped += s.steps_skipped;
-    acc.items_restored += s.items_restored;
-}
-
-/// The job's integrity runtime configuration, or `None` when its
-/// declared mode is `Off`: the spec's [`IntegrityOptions`] with the
-/// job's fault injector attached as the corruption source.
-///
-/// [`IntegrityOptions`]: recdp_kernels::IntegrityOptions
-fn integrity_config(spec: &JobSpec) -> Option<IntegrityConfig> {
-    if spec.integrity.mode == IntegrityMode::Off {
-        return None;
-    }
-    let mut cfg = IntegrityConfig::from(spec.integrity);
-    if let Some(injector) = &spec.injector {
-        cfg = cfg.with_injector(Arc::clone(injector));
-    }
-    Some(cfg)
-}
-
 fn execute(inner: &Inner, job: &QueuedJob, queued_s: f64) -> Executed {
     let spec = &job.spec;
     // The SLA clock started at submission: a job that already blew its
@@ -446,16 +413,11 @@ fn execute(inner: &Inner, job: &QueuedJob, queued_s: f64) -> Executed {
         } | JobPayload::SwBatch { .. }
     );
     let tracer = (inner.cfg.trace_utilization && uses_cnc).then(Tracer::new);
+    // The job's integrity runtime configuration (its fault injector is
+    // the corruption source), or `None` for an unchecked job.
+    let integrity = spec.integrity.config(spec.injector.as_ref());
     let started = Instant::now();
-    type Outcome = Result<
-        (
-            Vec<PreparedJob>,
-            Option<GraphStats>,
-            Option<IntegrityReport>,
-        ),
-        JobError,
-    >;
-    let outcome: Outcome = match &spec.payload {
+    let outcome: Result<(Vec<PreparedJob>, JobRun), JobError> = match &spec.payload {
         JobPayload::Benchmark {
             benchmark,
             execution,
@@ -471,123 +433,76 @@ fn execute(inner: &Inner, job: &QueuedJob, queued_s: f64) -> Executed {
                 *base,
                 recdp_kernels::Decomposition::new(*decomposition),
             );
-            match execution {
-                Execution::SerialLoops => {
-                    // The loops oracle is not tile-structured; the
-                    // integrity policy has nothing to attach to.
-                    p.run_loops();
-                    Ok((vec![p], None, None))
-                }
-                Execution::SerialRdp => {
-                    let report = match integrity_config(spec) {
-                        Some(cfg) => Some(p.run_serial_checked(cfg)),
-                        None => {
-                            p.run_serial_rdp();
-                            None
-                        }
-                    };
-                    Ok((vec![p], None, report))
-                }
-                Execution::ForkJoin => {
-                    let report = match integrity_config(spec) {
-                        Some(cfg) => Some(p.run_forkjoin_checked(&inner.pool, cfg)),
-                        None => {
-                            p.run_forkjoin(&inner.pool);
-                            None
-                        }
-                    };
-                    Ok((vec![p], None, report))
-                }
-                Execution::Cnc(v) => {
-                    let graph = arm_graph(inner, job, remaining, tracer.as_ref());
-                    match integrity_config(spec) {
-                        Some(cfg) => p
-                            .run_cnc_checked_on(*v, &graph, cfg)
-                            .map(|(stats, report)| (vec![p], Some(stats), Some(report)))
-                            .map_err(map_cnc_err),
-                        None => p
-                            .run_cnc_on(*v, &graph)
-                            .map(|stats| (vec![p], Some(stats), None))
-                            .map_err(map_cnc_err),
-                    }
-                }
-            }
+            let graph = uses_cnc.then(|| arm_graph(inner, job, remaining, tracer.as_ref()));
+            let env = RunEnv {
+                pool: Some(&inner.pool),
+                graph: graph.as_ref(),
+                integrity,
+                count_joins: None,
+            };
+            p.run(*execution, env)
+                .map(|ran| (vec![p], ran))
+                .map_err(map_cnc_err)
         }
         JobPayload::SwBatch {
             queries,
             mode,
             variant,
         } => {
-            let jobs: Vec<PreparedJob> = queries
+            let mut jobs: Vec<PreparedJob> = queries
                 .iter()
                 .map(|q| prepare_sw_query(&q.a, &q.b, q.n, q.base))
                 .collect();
-            let icfg = integrity_config(spec);
-            match mode {
+            // One integrity state per query (their digest registries
+            // are per-query, like the collections); the per-query
+            // reports merge into the job's.
+            let mut report: Option<IntegrityReport> = None;
+            let mut merge = |r: IntegrityReport| report = Some(report.unwrap_or_default().merge(r));
+            let stats = match mode {
                 BatchMode::Coalesced => {
                     let graph = arm_graph(inner, job, remaining, tracer.as_ref());
-                    // One integrity state per registration (their digest
-                    // registries are per-query, like the collections);
-                    // the per-query reports merge after quiescence.
-                    let states: Vec<_> = match &icfg {
-                        Some(cfg) => jobs
-                            .iter()
-                            .map(|p| p.register_cnc_checked(*variant, &graph, cfg.clone()))
-                            .collect(),
-                        None => {
-                            for p in &jobs {
-                                p.register_cnc(*variant, &graph);
-                            }
-                            Vec::new()
-                        }
-                    };
-                    graph
-                        .wait()
-                        .map(|stats| {
-                            let report = icfg.is_some().then(|| {
-                                states
-                                    .iter()
-                                    .map(|s| s.report())
-                                    .fold(IntegrityReport::default(), IntegrityReport::merge)
-                            });
-                            (jobs, Some(stats), report)
-                        })
-                        .map_err(map_cnc_err)
+                    let states: Vec<_> = jobs
+                        .iter()
+                        .map(|p| p.register_cnc(*variant, &graph, integrity.clone()))
+                        .collect();
+                    graph.wait().inspect(|_| {
+                        states.iter().flatten().for_each(|st| merge(st.report()));
+                    })
                 }
                 BatchMode::PerQuery => {
-                    let mut acc = GraphStats::default();
-                    let mut report: Option<IntegrityReport> = None;
-                    let mut failure = None;
-                    for p in &jobs {
-                        if job.shared.cancel_requested.load(Ordering::SeqCst) {
-                            failure =
-                                Some(JobError::Cancelled(job.shared.cancel_reason.lock().clone()));
-                            break;
-                        }
-                        let graph = arm_graph(inner, job, remaining, tracer.as_ref());
-                        let res = match &icfg {
-                            Some(cfg) => p.run_cnc_checked_on(*variant, &graph, cfg.clone()).map(
-                                |(stats, r)| {
-                                    report = Some(report.unwrap_or_default().merge(r));
-                                    stats
-                                },
-                            ),
-                            None => p.run_cnc_on(*variant, &graph),
-                        };
-                        match res {
-                            Ok(stats) => add_stats(&mut acc, stats),
-                            Err(e) => {
-                                failure = Some(map_cnc_err(e));
-                                break;
+                    let execution = Execution::Cnc(*variant);
+                    jobs.iter_mut()
+                        .try_fold(GraphStats::default(), |mut acc, p| {
+                            if job.shared.cancel_requested.load(Ordering::SeqCst) {
+                                return Err(CncError::Cancelled {
+                                    reason: job.shared.cancel_reason.lock().clone(),
+                                });
                             }
-                        }
-                    }
-                    match failure {
-                        None => Ok((jobs, Some(acc), report)),
-                        Some(e) => Err(e),
-                    }
+                            let graph = arm_graph(inner, job, remaining, tracer.as_ref());
+                            let env = RunEnv {
+                                graph: Some(&graph),
+                                integrity: integrity.clone(),
+                                ..RunEnv::default()
+                            };
+                            let ran = p.run(execution, env)?;
+                            if let Some(r) = ran.integrity {
+                                merge(r);
+                            }
+                            acc += ran.cnc_stats.expect("a data-flow run carries stats");
+                            Ok(acc)
+                        })
                 }
-            }
+            };
+            stats
+                .map(|stats| {
+                    let ran = JobRun {
+                        cnc_stats: Some(stats),
+                        integrity: report,
+                        joins: None,
+                    };
+                    (jobs, ran)
+                })
+                .map_err(map_cnc_err)
         }
     };
     let seconds = started.elapsed().as_secs_f64();
@@ -599,8 +514,8 @@ fn execute(inner: &Inner, job: &QueuedJob, queued_s: f64) -> Executed {
     };
     let mut corruptions_detected = 0;
     let mut tiles_recomputed = 0;
-    let result = outcome.and_then(|(jobs, cnc_stats, integrity)| {
-        if let Some(r) = &integrity {
+    let result = outcome.and_then(|(jobs, ran)| {
+        if let Some(r) = &ran.integrity {
             // Charge the detection/repair work to the tenant whether or
             // not the job survives it.
             corruptions_detected = r.corruptions_detected + r.put_corruptions_detected;
@@ -616,8 +531,8 @@ fn execute(inner: &Inner, job: &QueuedJob, queued_s: f64) -> Executed {
             digests,
             seconds,
             queued_seconds: queued_s,
-            cnc_stats,
-            integrity,
+            cnc_stats: ran.cnc_stats,
+            integrity: ran.integrity,
         })
     });
     Executed {

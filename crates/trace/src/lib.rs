@@ -558,6 +558,15 @@ pub struct TraceSession {
     workers: usize,
 }
 
+impl std::fmt::Debug for TraceSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceSession")
+            .field("workers", &self.workers)
+            .field("lanes", &self.tracer.lanes().len())
+            .finish()
+    }
+}
+
 impl TraceSession {
     /// A session with a fresh tracer, reporting against `workers`
     /// worker threads.

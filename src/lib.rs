@@ -7,8 +7,8 @@
 
 pub use recdp::prelude;
 pub use recdp::{
-    dag, dag_metrics, predict_seconds, run_benchmark, run_benchmark_on, run_benchmark_with,
-    Benchmark, Execution, FigurePanel, Model, Paradigm, RunOutput,
+    dag, dag_metrics, execute, predict_seconds, run_benchmark, Benchmark, Execution, FigurePanel,
+    Model, Paradigm, Run, RunOn, RunOutput,
 };
 pub use recdp_server::{
     BatchMode, DpServer, JobHandle, JobSpec, ServerConfig, SubmitError, SwQuery,

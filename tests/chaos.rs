@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use recdp::{run_benchmark_resilient, Benchmark, RecoveryPolicy, ResilienceOptions};
+use recdp::{execute, Benchmark, Execution, RecoveryPolicy, ResilienceOptions, Run};
 use recdp_cnc::{CncError, CncGraph, RetryPolicy, StepOutcome};
 use recdp_faults::FaultPlan;
 use recdp_forkjoin::{RecoveryMode, ThreadPoolBuilder};
@@ -293,8 +293,11 @@ fn worker_kill_chaos_all_benchmarks_match_oracle() {
                 recovery,
                 ..Default::default()
             };
-            let out = run_benchmark_resilient(bench, CncVariant::Native, N, BASE, THREADS, &opts)
-                .unwrap_or_else(|e| panic!("{bench:?}/{recovery:?}: {e}"));
+            let out = execute(&Run {
+                resilience: opts,
+                ..Run::new(bench, Execution::Cnc(CncVariant::Native), N, BASE, THREADS)
+            })
+            .unwrap_or_else(|e| panic!("{bench:?}/{recovery:?}: {e}"));
             assert!(
                 out.table.bitwise_eq(&oracle.table),
                 "{bench:?}/{recovery:?} diverged under worker kills"
@@ -332,7 +335,7 @@ fn cnc_on_a_kill_scheduled_pool_reports_the_deaths() {
 
 #[test]
 fn resilient_executor_under_chaos_matches_oracle() {
-    // The top-level facade: run_benchmark_resilient with a fault plan
+    // The top-level facade: `execute` with a fault plan
     // produces the same table as the fault-free serial loops.
     let oracle = recdp::run_benchmark(Benchmark::Fw, recdp::Execution::SerialLoops, N, BASE, 1);
     let opts = ResilienceOptions {
@@ -341,7 +344,16 @@ fn resilient_executor_under_chaos_matches_oracle() {
         injector: Some(Arc::new(FaultPlan::new(0xAB).transient_step_failures(0.2))),
         ..Default::default()
     };
-    let out = run_benchmark_resilient(Benchmark::Fw, CncVariant::Native, N, BASE, THREADS, &opts)
-        .expect("retries absorb the plan");
+    let out = execute(&Run {
+        resilience: opts,
+        ..Run::new(
+            Benchmark::Fw,
+            Execution::Cnc(CncVariant::Native),
+            N,
+            BASE,
+            THREADS,
+        )
+    })
+    .expect("retries absorb the plan");
     assert!(out.table.bitwise_eq(&oracle.table));
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use recdp_kernels::{CncVariant, Decomposition};
-use recdp_suite::{run_benchmark, run_benchmark_with, Benchmark, Execution};
+use recdp_suite::{execute, run_benchmark, Benchmark, Execution, Run};
 
 const ALL_EXECUTIONS: [Execution; 5] = [
     Execution::SerialRdp,
@@ -72,7 +72,11 @@ proptest! {
             Execution::Cnc(CncVariant::Native),
             Execution::Cnc(CncVariant::Manual),
         ] {
-            let out = run_benchmark_with(benchmark, execution, n, base, threads, decomposition);
+            let out = execute(&Run {
+                decomposition,
+                ..Run::new(benchmark, execution, n, base, threads)
+            })
+            .expect("fault-free runs succeed");
             prop_assert!(
                 out.table.bitwise_eq(&oracle.table),
                 "{} under {} at n={} base={} threads={} r={}",

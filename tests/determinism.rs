@@ -4,7 +4,7 @@
 //! regardless of scheduling nondeterminism.
 
 use recdp_kernels::{CncVariant, Decomposition};
-use recdp_suite::{run_benchmark, run_benchmark_with, Benchmark, Execution};
+use recdp_suite::{execute, run_benchmark, Benchmark, Execution, Run};
 
 #[test]
 fn cnc_output_independent_of_thread_count() {
@@ -101,10 +101,13 @@ fn output_independent_of_decomposition_width() {
     // under both the fork-join and the data-flow engine.
     for benchmark in Benchmark::EXTENDED {
         for execution in [Execution::ForkJoin, Execution::Cnc(CncVariant::Native)] {
-            let reference =
-                run_benchmark_with(benchmark, execution, 64, 8, 3, Decomposition::BINARY);
+            let reference = run_benchmark(benchmark, execution, 64, 8, 3);
             for r in [4u32, 8] {
-                let out = run_benchmark_with(benchmark, execution, 64, 8, 3, Decomposition::new(r));
+                let out = execute(&Run {
+                    decomposition: Decomposition::new(r),
+                    ..Run::new(benchmark, execution, 64, 8, 3)
+                })
+                .expect("fault-free runs succeed");
                 assert!(
                     out.table.bitwise_eq(&reference.table),
                     "{} r={r} {:?}",

@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 
-use recdp::{prepare_job, Benchmark};
+use recdp::{prepare_job_with, Benchmark};
 use recdp_cnc::CncGraph;
 use recdp_forkjoin::ThreadPoolBuilder;
-use recdp_kernels::CncVariant;
+use recdp_kernels::{CncVariant, Decomposition};
 
 /// Resident set size in kB (`VmRSS` of `/proc/self/status`).
 fn rss_kb() -> u64 {
@@ -29,12 +29,12 @@ fn rss_kb() -> u64 {
 fn a_thousand_tuner_graphs_do_not_grow_the_process() {
     let pool = Arc::new(ThreadPoolBuilder::new().num_threads(2).build());
     let oracle = {
-        let mut p = prepare_job(Benchmark::Ge, 64, 8);
+        let mut p = prepare_job_with(Benchmark::Ge, 64, 8, Decomposition::BINARY);
         p.run_loops();
         p.table().bit_digest()
     };
     let run = || {
-        let p = prepare_job(Benchmark::Ge, 64, 8);
+        let p = prepare_job_with(Benchmark::Ge, 64, 8, Decomposition::BINARY);
         let graph = CncGraph::with_pool(Arc::clone(&pool));
         p.run_cnc_on(CncVariant::Tuner, &graph)
             .expect("a fault-free graph completes");

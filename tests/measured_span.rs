@@ -24,15 +24,18 @@ const BASE: usize = 16;
 const THREADS: usize = 4;
 
 fn measure() -> (TraceReport, TraceReport) {
-    let (_, fj) = run_benchmark_traced(Benchmark::Ge, Execution::ForkJoin, N, BASE, THREADS);
-    let (_, cnc) = run_benchmark_traced(
-        Benchmark::Ge,
-        Execution::Cnc(CncVariant::Native),
-        N,
-        BASE,
-        THREADS,
-    );
-    (fj.report(), cnc.report())
+    let traced = |execution| {
+        let out = execute(&Run {
+            trace: true,
+            ..Run::new(Benchmark::Ge, execution, N, BASE, THREADS)
+        })
+        .expect("traced runs are fault-free");
+        out.trace.expect("asked for a trace").report()
+    };
+    (
+        traced(Execution::ForkJoin),
+        traced(Execution::Cnc(CncVariant::Native)),
+    )
 }
 
 #[test]

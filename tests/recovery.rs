@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use recdp_cnc::{CncError, CncGraph};
 use recdp_forkjoin::{RecoveryMode, ThreadPoolBuilder};
-use recdp_kernels::engine::{run_cnc_on, run_forkjoin};
+use recdp_kernels::engine::{run_cnc, run_forkjoin};
 use recdp_kernels::workloads::{chain_dims, dna_sequence, fw_matrix, ge_matrix};
 use recdp_kernels::{fw, ge, paren, sw, Call, CncVariant, DpSpec, Matrix, TileKey};
 
@@ -130,7 +130,7 @@ fn cnc_panic_then_checkpoint_resume<S: DpSpec>(
     let mut m = fresh();
     let sp = PoisonTile::mid(spec(&mut m));
     let graph = CncGraph::with_threads(THREADS);
-    match run_cnc_on(&sp, CncVariant::Native, &graph) {
+    match run_cnc(&sp, CncVariant::Native, &graph, None) {
         Err(CncError::StepPanicked(msg)) => {
             assert!(msg.contains("poisoned tile"), "{name}: {msg}");
         }
@@ -143,7 +143,7 @@ fn cnc_panic_then_checkpoint_resume<S: DpSpec>(
     // same program (same wrapped spec, same table) on a fresh graph.
     let resumed = CncGraph::with_threads(THREADS);
     resumed.resume_from(&cp);
-    let stats = run_cnc_on(&sp, CncVariant::Native, &resumed)
+    let stats = run_cnc(&sp, CncVariant::Native, &resumed, None)
         .unwrap_or_else(|e| panic!("{name}: resumed run must complete: {e:?}"));
     assert_eq!(
         stats.steps_skipped,
@@ -172,7 +172,7 @@ fn forkjoin_panic_propagates<S: DpSpec>(
     let pool = ThreadPoolBuilder::new().num_threads(THREADS).build();
     let mut m = fresh();
     let sp = PoisonTile::mid(spec(&mut m));
-    let unwound = catch_unwind(AssertUnwindSafe(|| run_forkjoin(&sp, &pool)));
+    let unwound = catch_unwind(AssertUnwindSafe(|| run_forkjoin(&sp, &pool, 1, None, None)));
     assert!(unwound.is_err(), "{name}: tile panic must propagate");
 
     // Kernels mutate tiles in place, so the half-written table is not
@@ -182,7 +182,7 @@ fn forkjoin_panic_propagates<S: DpSpec>(
         inner: spec(&mut m2),
         ..sp.clone()
     };
-    run_forkjoin(&sp2, &pool);
+    run_forkjoin(&sp2, &pool, 1, None, None);
     assert!(m2.bitwise_eq(&oracle), "{name}: disarmed rerun diverged");
 }
 
@@ -206,7 +206,7 @@ fn forkjoin_kills_preserve_results<S: DpSpec>(
             .build();
         let mut m = fresh();
         let sp = PoisonTile::slow(spec(&mut m), Duration::from_micros(100));
-        run_forkjoin(&sp, &pool);
+        run_forkjoin(&sp, &pool, 1, None, None);
         assert!(
             m.bitwise_eq(&oracle),
             "{name}/{mode:?}: table diverged after worker kills"

@@ -6,8 +6,8 @@
 //! paper's Listing 3 — from the stage recursions alone, written with no
 //! reference to the engine's code. The engine reports the same quantity
 //! two independent ways: `forkjoin_join_count` statically walks the
-//! spec's `expand` tree, and `run_forkjoin_counting` increments an
-//! atomic at every barrier the pool actually executes. All three must
+//! spec's `expand` tree, and a fork-join run with `RunEnv::count_joins`
+//! increments an atomic at every barrier the pool actually executes. All three must
 //! agree *exactly*, at every decomposition width and fork grain; any
 //! drift means the model and the implementation no longer describe the
 //! same algorithm.
@@ -21,6 +21,18 @@ use recdp_taskgraph::rway;
 
 const N: usize = 64;
 const BASE: usize = 1; // t = 64 tiles
+
+/// Runs `p` under fork-join and returns the joins executed at `grain`.
+fn counted_joins(p: &mut PreparedJob, pool: &ThreadPool, grain: usize) -> u64 {
+    let env = RunEnv {
+        pool: Some(pool),
+        count_joins: Some(grain),
+        ..RunEnv::default()
+    };
+    let ran = p.run(Execution::ForkJoin, env);
+    let joins = ran.expect("fork-join runs are infallible").joins;
+    joins.expect("asked for the join count")
+}
 
 fn model_joins(benchmark: Benchmark, t: usize, r: usize, grain: usize) -> Option<u64> {
     match benchmark {
@@ -41,8 +53,8 @@ fn measured_joins_match_static_walk_and_rway_model() {
     for benchmark in Benchmark::EXTENDED {
         for r in [2usize, 4, 8] {
             for grain in [1usize, 4] {
-                let p = prepare_job_with(benchmark, N, BASE, Decomposition::new(r as u32));
-                let measured = p.run_forkjoin_counting(&pool, grain);
+                let mut p = prepare_job_with(benchmark, N, BASE, Decomposition::new(r as u32));
+                let measured = counted_joins(&mut p, &pool, grain);
                 let walked = p.forkjoin_join_count(grain);
                 assert_eq!(
                     measured,
@@ -73,8 +85,8 @@ fn join_counts_decrease_strictly_in_r_for_ge_and_fw() {
     for benchmark in [Benchmark::Ge, Benchmark::Fw] {
         let mut last = u64::MAX;
         for r in [2u32, 4, 8] {
-            let p = prepare_job_with(benchmark, N, BASE, Decomposition::new(r));
-            let joins = p.run_forkjoin_counting(&pool, 1);
+            let mut p = prepare_job_with(benchmark, N, BASE, Decomposition::new(r));
+            let joins = counted_joins(&mut p, &pool, 1);
             assert!(
                 joins < last,
                 "{} r={r}: {joins} must be below {last}",
@@ -94,8 +106,8 @@ fn counting_run_produces_the_oracle_table() {
     for benchmark in Benchmark::EXTENDED {
         let oracle = run_benchmark(benchmark, Execution::SerialLoops, N, 4, 1);
         for r in [2u32, 4, 8] {
-            let p = prepare_job_with(benchmark, N, 4, Decomposition::new(r));
-            let _ = p.run_forkjoin_counting(&pool, 2);
+            let mut p = prepare_job_with(benchmark, N, 4, Decomposition::new(r));
+            counted_joins(&mut p, &pool, 2);
             assert!(
                 p.table().bitwise_eq(&oracle.table),
                 "{} r={r}",

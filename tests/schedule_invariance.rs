@@ -16,7 +16,7 @@
 use recdp_check::{explore, replay_stable, Config, ReplayStats, SharedScheduler};
 use recdp_cnc::{CncGraph, RetryPolicy};
 use recdp_faults::FaultPlan;
-use recdp_kernels::engine::run_cnc_on;
+use recdp_kernels::engine::run_cnc;
 use recdp_kernels::workloads::{chain_dims, dna_sequence, fw_matrix, ge_matrix};
 use recdp_kernels::{fw, ge, lcs, paren, sw, CncVariant, Decomposition, DpSpec, Matrix};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ fn invariant_across_schedules<S: DpSpec>(
             let mut m = fresh();
             let sp = spec(&mut m);
             let graph = managed(&s);
-            let stats = run_cnc_on(&sp, variant, &graph).unwrap_or_else(|e| {
+            let stats = run_cnc(&sp, variant, &graph, None).unwrap_or_else(|e| {
                 panic!("{name}/{variant:?} must quiesce on every schedule: {e:?}")
             });
             assert_eq!(
@@ -93,7 +93,7 @@ fn faults_absorbed_across_schedules<S: DpSpec>(
         let graph = managed(&s);
         graph.set_retry_policy(RetryPolicy::attempts(10));
         graph.set_fault_injector(Arc::new(template.reseeded(fault_seed)));
-        let stats = run_cnc_on(&sp, CncVariant::Native, &graph).unwrap_or_else(|e| {
+        let stats = run_cnc(&sp, CncVariant::Native, &graph, None).unwrap_or_else(|e| {
             panic!("{name}: retries must absorb the fault plan on every schedule: {e:?}")
         });
         assert_eq!(

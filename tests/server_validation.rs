@@ -7,7 +7,7 @@
 //! explicit-base runs.
 
 use recdp::{auto_base, run_benchmark, Benchmark, Execution};
-use recdp_kernels::CncVariant;
+use recdp_kernels::{CncVariant, Decomposition};
 use recdp_server::{
     BatchMode, DpServer, JobSpec, ServerConfig, SpecViolation, SubmitError, SwQuery,
 };
@@ -130,7 +130,7 @@ fn bad_decomposition_widths_are_refused_at_submit_and_pool_survives() {
 #[test]
 fn auto_base_jobs_accept_any_power_of_two_width() {
     // With AUTO_BASE the tile grid is unknown at submit time; the grid
-    // checks are deferred to dispatch, where `auto_base_with` clamps
+    // checks are deferred to dispatch, where `auto_base` clamps
     // the tuned base so the root split stays genuinely r-wide.
     let server = server();
     let mut spec = JobSpec::benchmark_tuned("t", Benchmark::Ge, Execution::ForkJoin, 64);
@@ -193,7 +193,7 @@ fn tuned_jobs_digest_match_explicit_base_runs() {
             vec![oracle.table.bit_digest()],
             "{}: tuned (base {}) vs explicit",
             benchmark.name(),
-            auto_base(benchmark, n)
+            auto_base(benchmark, n, Decomposition::BINARY)
         );
     }
     server.shutdown();

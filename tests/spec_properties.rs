@@ -127,14 +127,11 @@ fn all_execution_models_digest_identical_across_decompositions() {
         let digest = oracle.table.bit_digest();
         for r in [2u32, 4] {
             for execution in executions {
-                let out = run_benchmark_with(
-                    benchmark,
-                    execution,
-                    n,
-                    base,
-                    threads,
-                    Decomposition::new(r),
-                );
+                let out = execute(&Run {
+                    decomposition: Decomposition::new(r),
+                    ..Run::new(benchmark, execution, n, base, threads)
+                })
+                .expect("fault-free runs succeed");
                 assert_eq!(
                     out.table.bit_digest(),
                     digest,
