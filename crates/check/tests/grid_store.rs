@@ -6,7 +6,7 @@
 //! does; only the dispatch target differs.
 
 use recdp_check::{enumerate, exhaustive, replay_stable, Config, ReplayStats, SharedScheduler};
-use recdp_cnc::{CncGraph, DepSet, ItemCollection, ScheduleEvent, StepOutcome};
+use recdp_cnc::{CncGraph, ItemCollection, ScheduleEvent, StepOutcome};
 
 type Key = (u32, u32);
 const A: Key = (0, 0);
@@ -46,7 +46,7 @@ fn diamond(sched: &SharedScheduler, grid: bool) -> (Option<u64>, ReplayStats, Ve
         Ok(StepOutcome::Done)
     });
 
-    sink_t.put_when(0, &DepSet::new().item(&items, B[0]).item(&items, B[1]));
+    sink_t.put_when(0, &items, B);
     mid_t.put(0);
     mid_t.put(1);
     source_t.put(0);

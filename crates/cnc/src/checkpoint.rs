@@ -109,8 +109,8 @@ impl CncGraph {
             .filter_map(|c| c.snapshot())
             .collect();
         let mut executed: HashSet<(&'static str, u64)> = HashSet::new();
-        for shard in &self.core.executed_log {
-            executed.extend(shard.lock().iter().copied());
+        for shard in self.core.stats.shards() {
+            executed.extend(shard.executed.lock().iter().copied());
         }
         if let Some(skips) = self.core.skip_set.get() {
             // Checkpointing a *resumed* graph carries the inherited skip

@@ -39,13 +39,20 @@
 //! before the put is on the list the put takes; a park ordered after it
 //! finds WRITING, spins to READY and reads the item instead.
 //!
-//! # One instance, one link
+//! # One instance, one link, one counted reference
 //!
 //! A step instance is one allocation, [`Instance`]: the non-generic
-//! [`Header`] (what the runtime needs: core, names, attempt counter,
-//! the wait-list link, the declared dependencies still to check)
-//! followed by the tag and the prescription. [`InstanceRef`] is the
-//! thin, type-erased handle to it that wait lists and queues hold.
+//! [`Header`] (what the runtime needs: names, attempt counter, the
+//! wait-list link, the declared dependencies still to check) followed
+//! by the tag and the prescription. [`InstanceRef`] is the thin,
+//! type-erased handle to it that wait lists and queues hold.
+//!
+//! The instance holds one counted handle, on its [`Prescription`]. The
+//! prescription owns the handle on the core, so the header reaches the
+//! core through a plain pointer for as long as the instance lives. One
+//! more count is taken per execution, in [`InstanceRef::finish`]: the
+//! instance must let go of the step body *before* it leaves `pending`,
+//! and leaving `pending` needs the core.
 //!
 //! An instance waits on at most one slot at a time, so the link is one
 //! word. Native's blocked `get` parks the running instance on the
@@ -56,6 +63,18 @@
 //! holds a parked-but-unlisted instance (its creator, then the putter
 //! that took it) is its only owner, so cursor and link need no more
 //! than relaxed accesses ordered by the slot's CAS.
+//!
+//! *A declared dependency is a bare slot address* ([`Deps`], inside the
+//! instance: [`INLINE_DEPS`] of them, the rest in one block). What
+//! keeps the slot alive is not the instance: `put_when` takes every
+//! key of one instance from **one** collection, and `resume` reads the
+//! addresses only (a) inside that `put_when`, which borrows the
+//! collection, or (b) inside a `put` into that same collection, which
+//! took the instance off one of its wait lists and borrows it too — an
+//! instance with dependencies left to check is parked nowhere else,
+//! because its body (whose gets may park it elsewhere) has not run.
+//! A collection keeps its slots in place while it lives (`Store`). If
+//! the collection dies first, its wait lists drop the instance with it.
 //!
 //! Counters: an instance counts in `blocked` from before its first
 //! park until [`resume`] finds nothing missing, where it moves to
@@ -70,40 +89,56 @@ use std::sync::{Arc, OnceLock};
 use recdp_trace::{panic_message, EventKind, StepId, StepOutcomeKind, Tracer};
 
 use crate::error::{CncError, StepAbort, StepFailure};
-use crate::runtime::{RuntimeCore, LOG_SHARDS};
-use crate::slot::Slot;
+use crate::runtime::RuntimeCore;
+use crate::slot::SlotState;
 use crate::StepResult;
 
-/// One slot of a [`ParkStore`], type erased.
-pub(crate) type SlotAddr = NonNull<()>;
+/// Dependencies an instance holds without a block of their own.
+const INLINE_DEPS: usize = 4;
 
-/// A type-erased item collection, as a declared dependency names it.
-pub(crate) trait ParkStore: Send + Sync {
-    /// # Safety
-    /// `slot` must have come from this store (`DepSet::item`).
-    unsafe fn is_ready(&self, slot: SlotAddr) -> bool;
-    /// # Safety
-    /// As [`ParkStore::is_ready`].
-    unsafe fn park(&self, slot: SlotAddr, inst: InstanceRef) -> Result<(), InstanceRef>;
+/// The declared dependencies of one instance that were missing when it
+/// was declared, in declaration order; see the module docs for what
+/// keeps the addresses valid.
+#[derive(Clone, Default)]
+pub(crate) struct Deps {
+    inline: [Option<NonNull<SlotState>>; INLINE_DEPS],
+    spill: Vec<NonNull<SlotState>>,
 }
 
-/// Declared dependencies, run-length encoded: `In` names the collection
-/// of the `Slot`s that follow it (one handle per run, not per item).
-#[derive(Clone)]
-pub(crate) enum DepEntry {
-    In(Arc<dyn ParkStore>),
-    Slot(SlotAddr),
-}
+impl Deps {
+    /// Appends `slot`; `more` is how many may still follow (sizes the
+    /// block once, when the inline slots run out).
+    pub(crate) fn push(&mut self, slot: &SlotState, more: usize) {
+        let slot = NonNull::from(slot);
+        match self.inline.iter_mut().find(|free| free.is_none()) {
+            Some(free) => *free = Some(slot),
+            None => {
+                if self.spill.is_empty() {
+                    self.spill.reserve(more + 1);
+                }
+                self.spill.push(slot);
+            }
+        }
+    }
 
-// SAFETY: a `Slot` entry is only dereferenced through the `In` entry
-// before it, whose collection owns the slot and is `Send + Sync`.
-unsafe impl Send for DepEntry {}
-unsafe impl Sync for DepEntry {}
+    pub(crate) fn is_empty(&self) -> bool {
+        self.inline[0].is_none()
+    }
+
+    fn get(&self, at: usize) -> Option<NonNull<SlotState>> {
+        match self.inline.get(at) {
+            Some(inline) => *inline,
+            None => self.spill.get(at - INLINE_DEPS).copied(),
+        }
+    }
+}
 
 type StepBody<T> = Box<dyn Fn(&T, &StepScope) -> StepResult + Send + Sync>;
 
 /// A prescribed step collection: the body every instance of it runs.
 pub(crate) struct Prescription<T> {
+    /// The handle on the core every instance of the step borrows.
+    pub(crate) core: Arc<RuntimeCore>,
     pub(crate) step_name: &'static str,
     /// `step_name` interned in the graph's tracer, on first use.
     pub(crate) trace_step: OnceLock<StepId>,
@@ -116,7 +151,8 @@ pub(crate) struct Prescription<T> {
 #[repr(C, align(8))]
 pub(crate) struct Header {
     vtable: &'static VTable,
-    pub(crate) core: Arc<RuntimeCore>,
+    /// `Arc::as_ptr` of the prescription's handle on the core.
+    core: *const RuntimeCore,
     pub(crate) step_name: &'static str,
     /// `step_name` in the graph's tracer, if one was installed when the
     /// instance was created.
@@ -130,18 +166,16 @@ pub(crate) struct Header {
     /// The instance parked before this one on the same slot.
     pub(crate) next: AtomicPtr<Header>,
     /// Declared dependencies not known to be ready when the instance
-    /// was created (empty for a plain `put`); starts with an `In`.
-    deps: Box<[DepEntry]>,
-    /// Where [`resume`] continues in `deps`: the next entry to check,
-    /// and the `In` entry governing it.
+    /// was created (empty for a plain `put`).
+    deps: Deps,
+    /// Where [`resume`] continues in `deps`: the next entry to check.
     cursor: AtomicU32,
-    run: AtomicU32,
 }
 
 struct VTable {
     exec: unsafe fn(*const Header, &StepScope) -> StepResult,
     retain: unsafe fn(*const Header),
-    retire: unsafe fn(*const Header) -> Arc<RuntimeCore>,
+    release: unsafe fn(*const Header),
 }
 
 /// One step instance: a prescribed body bound to a tag value.
@@ -162,14 +196,7 @@ impl<T: Send + Sync + 'static> Instance<T> {
             (this.prescription.body)(&this.tag, scope)
         },
         retain: |header| unsafe { Arc::increment_strong_count(header as *const Instance<T>) },
-        retire: |header| {
-            let this = unsafe { Arc::from_raw(header as *const Instance<T>) };
-            match Arc::try_unwrap(this) {
-                Ok(last) => last.header.core,
-                // Parked or re-enqueued: a wait list or queue owns it too.
-                Err(shared) => Arc::clone(&shared.header.core),
-            }
-        },
+        release: |header| drop(unsafe { Arc::from_raw(header as *const Instance<T>) }),
     };
 }
 
@@ -177,20 +204,20 @@ impl<T: Send + Sync + 'static> Instance<T> {
 pub(crate) struct InstanceRef(NonNull<Header>);
 
 // SAFETY: the handle is an `Arc<Instance<T>>` with `T: Send + Sync`; the
-// header's own fields are atomics, `Send + Sync` values, and `deps`,
-// which is immutable.
+// header's own fields are atomics, `Send + Sync` values, `core`, which
+// points into an `Arc<RuntimeCore>`, and `deps`, which is immutable and
+// names slots of a `Send + Sync` collection.
 unsafe impl Send for InstanceRef {}
 unsafe impl Sync for InstanceRef {}
 
 impl InstanceRef {
     pub(crate) fn new<T: Send + Sync + 'static>(
-        core: &Arc<RuntimeCore>,
         prescription: Arc<Prescription<T>>,
         tag: T,
         tag_hash: u64,
-        deps: Box<[DepEntry]>,
+        deps: Deps,
     ) -> Self {
-        let trace_step = core.tracer.get().map(|t| {
+        let trace_step = prescription.core.tracer.get().map(|t| {
             *prescription
                 .trace_step
                 .get_or_init(|| t.intern(prescription.step_name))
@@ -198,7 +225,7 @@ impl InstanceRef {
         let instance = Arc::new(Instance {
             header: Header {
                 vtable: &Instance::<T>::VTABLE,
-                core: Arc::clone(core),
+                core: Arc::as_ptr(&prescription.core),
                 step_name: prescription.step_name,
                 trace_step,
                 tag_hash,
@@ -206,7 +233,6 @@ impl InstanceRef {
                 next: AtomicPtr::new(std::ptr::null_mut()),
                 deps,
                 cursor: AtomicU32::new(0),
-                run: AtomicU32::new(0),
             },
             prescription,
             tag,
@@ -234,24 +260,31 @@ impl InstanceRef {
         header
     }
 
-    /// Lets go of the instance (and, if this was the last handle, of its
-    /// hold on the step body) and returns its core.
-    fn retire(self) -> Arc<RuntimeCore> {
-        let header = self.into_raw();
-        // SAFETY: `self` owned one reference, handed to `retire` here.
-        unsafe { ((*header).vtable.retire)(header) }
-    }
-
-    /// Executes (or drains) the instance, then retires it from
-    /// `pending` — only after letting go of the step body: whoever sees
-    /// the graph quiescent may drop it, and no body outlives that drop.
+    /// Executes (or drains) the instance, then retires it.
     pub(crate) fn run(self) {
         self.execute();
-        self.retire().finish_one();
+        self.finish();
+    }
+
+    /// Retires the instance from `pending` — only after letting go of
+    /// it, and with it (if no wait list or queue holds it too) of the
+    /// step body: whoever sees the graph quiescent may drop it, and no
+    /// body outlives that drop. Once let go, the prescription may die at
+    /// any moment and its handle on the core with it; hence this one.
+    pub(crate) fn finish(self) {
+        // SAFETY: `core` is `Arc::as_ptr` of a handle that lives as long
+        // as `self`; the count taken here becomes the new handle's.
+        let core = unsafe {
+            Arc::increment_strong_count(self.core);
+            Arc::from_raw(self.core)
+        };
+        drop(self);
+        core.finish_one();
     }
 
     fn execute(&self) {
-        let core = &self.core;
+        let core = self.core();
+        let stats = core.stats.local();
         // Fail-fast: once the graph recorded an error (failure,
         // cancellation, timeout), drain without executing bodies.
         if core.error_pending() {
@@ -262,10 +295,10 @@ impl InstanceRef {
         // into the item collections, so the body must not run again —
         // single assignment forbids re-putting them.
         if core.should_skip(self.step_name, self.tag_hash) {
-            crate::stats::bump(&core.stats.steps_skipped);
+            crate::stats::bump(&stats.steps_skipped);
             return;
         }
-        crate::stats::bump(&core.stats.steps_started);
+        crate::stats::bump(&stats.steps_started);
         let traced = core.tracer.get().map(|t| {
             let lane = t.lane();
             let step = self.trace_id(t);
@@ -295,7 +328,7 @@ impl InstanceRef {
         // slot to None so environment code on this thread is not counted.
         if scope.gets_ok.get() > 0 {
             let served = scope.gets_ok.get();
-            core.stats.gets_ok.fetch_add(served, Ordering::Release);
+            stats.gets_ok.fetch_add(served, Ordering::Release);
         }
         let body_puts = BODY_PUTS.with(|c| c.take()).unwrap_or(0);
         let body_tag_puts = BODY_TAG_PUTS.with(|c| c.take()).unwrap_or(0);
@@ -327,7 +360,7 @@ impl InstanceRef {
         }
         match outcome {
             Ok(Ok(_)) => {
-                crate::stats::bump(&core.stats.steps_completed);
+                crate::stats::bump(&stats.steps_completed);
                 // Only zero-tag-put completions enter the checkpoint log:
                 // they are pure data producers whose effects the item
                 // snapshot captures, so a resumed run can skip them. A
@@ -335,13 +368,11 @@ impl InstanceRef {
                 // re-run on resume to rebuild the tag tree (and doing so
                 // is safe precisely because it put no items).
                 if body_tag_puts == 0 {
-                    core.executed_log[self.tag_hash as usize % LOG_SHARDS]
-                        .lock()
-                        .push((self.step_name, self.tag_hash));
+                    stats.executed.lock().push((self.step_name, self.tag_hash));
                 }
             }
             Ok(Err(StepAbort::Blocked)) => {
-                crate::stats::bump(&core.stats.steps_requeued);
+                crate::stats::bump(&stats.steps_requeued);
             }
             Ok(Err(StepAbort::Failed(failure))) => {
                 self.handle_failure(failure, body_puts);
@@ -392,7 +423,8 @@ impl Clone for InstanceRef {
 
 impl Drop for InstanceRef {
     fn drop(&mut self) {
-        drop(InstanceRef(self.0).retire());
+        // SAFETY: the handle's own reference, given up here.
+        unsafe { (self.vtable.release)(self.0.as_ptr()) };
     }
 }
 
@@ -406,6 +438,12 @@ impl std::ops::Deref for InstanceRef {
 }
 
 impl Header {
+    pub(crate) fn core(&self) -> &RuntimeCore {
+        // SAFETY: the instance this header heads owns a prescription,
+        // which owns the `Arc` the pointer was taken from.
+        unsafe { &*self.core }
+    }
+
     /// Identity of the instance (stable while it is parked).
     pub(crate) fn id(&self) -> usize {
         self as *const Header as usize
@@ -427,30 +465,23 @@ pub(crate) fn resume(mut inst: InstanceRef) {
         let at = inst.cursor.load(Ordering::Relaxed);
         // Advance first: once parked, the instance is its next owner's.
         inst.cursor.store(at + 1, Ordering::Relaxed);
-        let slot = match inst.deps.get(at as usize) {
-            None => break,
-            Some(DepEntry::In(_)) => {
-                inst.run.store(at, Ordering::Relaxed);
-                continue;
-            }
-            Some(DepEntry::Slot(slot)) => *slot,
+        let Some(slot) = inst.deps.get(at as usize) else {
+            break;
         };
-        let DepEntry::In(store) = &inst.deps[inst.run.load(Ordering::Relaxed) as usize] else {
-            unreachable!("a dependency run starts with its collection")
-        };
-        // SAFETY (both): `slot` was paired with `store` by `DepSet::item`.
-        if unsafe { store.is_ready(slot) } {
-            continue;
-        }
-        // The instance may be resumed, run and freed by another thread
-        // before `park` returns: keep the collection alive across it.
-        let store = Arc::clone(store);
-        match unsafe { store.park(slot, inst) } {
+        // SAFETY: the caller borrows the collection the address points
+        // into (module docs, "a declared dependency"). A successful
+        // `park` touches neither slot nor instance after its CAS, so it
+        // does not matter that another thread may by then have resumed,
+        // run and freed the instance.
+        match unsafe { slot.as_ref() }.park(inst) {
             Ok(()) => return,
             Err(back) => inst = back,
         }
     }
-    let core = Arc::clone(&inst.core);
+    // SAFETY: as `Header::core`, but not tied to the borrow of `inst`,
+    // which `dispatch` consumes: the instance keeps the core alive until
+    // `dispatch` has handed it on, and touches nothing of the core after.
+    let core = unsafe { &*inst.core };
     // Advance the resume epoch first: the deadlock check uses it to
     // detect a resume that runs to retirement between its counter reads
     // (both counters would look unchanged). Then `pending` up *before*
@@ -472,13 +503,15 @@ impl RuntimeCore {
     /// Enqueues a ready instance onto the pool. `fair` routes through
     /// the global injector (used for non-blocking-get self-respawns so a
     /// retrying step cannot starve its own producers on a LIFO deque).
-    pub(crate) fn enqueue(self: &Arc<Self>, inst: InstanceRef, fair: bool) {
+    pub(crate) fn enqueue(&self, inst: InstanceRef, fair: bool) {
         self.pending.fetch_add(1, Ordering::AcqRel);
         self.dispatch(inst, fair);
     }
 
     /// Dispatches an instance whose `pending` slot is already counted.
-    fn dispatch(self: &Arc<Self>, inst: InstanceRef, fair: bool) {
+    /// Touches nothing of `self` once the instance is handed on (the
+    /// instance may be all that keeps `self` alive, see [`resume`]).
+    fn dispatch(&self, inst: InstanceRef, fair: bool) {
         if let Some(m) = &self.managed {
             // Managed mode: the scheduler owns all ordering, including
             // the fair/LIFO distinction the pool would otherwise make —
@@ -499,12 +532,9 @@ impl RuntimeCore {
         }
         match self.pool.upgrade() {
             Some(pool) => pool.spawn_job(inst, fair),
-            None => {
-                // Pool gone (graph dropped): account the instance as done
-                // so a straggling `wait` cannot hang.
-                drop(inst);
-                self.finish_one();
-            }
+            // Pool gone (graph dropped): account the instance as done
+            // so a straggling `wait` cannot hang.
+            None => inst.finish(),
         }
     }
 
@@ -571,7 +601,7 @@ pub struct StepScope<'a> {
 impl StepScope<'_> {
     /// Parks the executing instance on `slot`, whose item a blocking get
     /// found missing. False: the item arrived in between — read it.
-    pub(crate) fn park_on<V>(&self, slot: &Slot<V>) -> bool {
+    pub(crate) fn park_on(&self, slot: &SlotState) -> bool {
         if self.parked.get() {
             // The body swallowed an earlier blocked get (reported when
             // it returns); the instance is already on that item's list.
@@ -579,7 +609,7 @@ impl StepScope<'_> {
         }
         // Counted as blocked before it can be resumed; this execution
         // still holds a `pending` slot, so no verdict reads in between.
-        let core = &self.inst.core;
+        let core = self.inst.core();
         core.blocked.fetch_add(1, Ordering::AcqRel);
         let parked = slot.park(self.inst.clone()).is_ok();
         if !parked {

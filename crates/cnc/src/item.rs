@@ -24,16 +24,16 @@ use crate::checkpoint::ItemSnapshot;
 use crate::diagnostic::ProbeWait;
 use crate::error::{CncError, StepAbort};
 use crate::fault::PutAction;
-use crate::hot::{note_body_put, resume, InstanceRef, ParkStore, SlotAddr, StepScope};
+use crate::hot::{note_body_put, resume, StepScope};
 use crate::runtime::{CollectionHooks, RuntimeCore, SpecLine};
-use crate::slot::Slot;
+use crate::slot::{Slot, SlotState};
 
 /// The key is outside a grid store's extent.
 struct OutOfExtent;
 
 /// The way from keys to slots. A slot, once handed out, stays where it
 /// is for as long as the store lives (declared dependencies keep its
-/// address, see [`ParkStore`]).
+/// address, see [`crate::hot`]).
 trait Store<K, V>: Send + Sync {
     /// The slot of `key`, if the store has one.
     fn find(&self, key: &K) -> Result<Option<&Slot<V>>, OutOfExtent>;
@@ -227,18 +227,6 @@ where
     }
 }
 
-impl<K: Send + Sync, V: Send + Sync> ParkStore for ItemInner<K, V> {
-    unsafe fn is_ready(&self, slot: SlotAddr) -> bool {
-        // SAFETY (both): by the caller's contract `slot` is a slot of
-        // `self.store`, which keeps its slots in place while it lives.
-        unsafe { slot.cast::<Slot<V>>().as_ref() }.is_ready()
-    }
-
-    unsafe fn park(&self, slot: SlotAddr, inst: InstanceRef) -> Result<(), InstanceRef> {
-        unsafe { slot.cast::<Slot<V>>().as_ref() }.park(inst)
-    }
-}
-
 /// A handle to an item collection. Cloning is cheap (shared state); step
 /// bodies capture clones.
 ///
@@ -293,7 +281,7 @@ where
                     panic!("resume seed for collection [{name}] has key {key:?} outside its extent")
                 };
                 let _ = slot.put(value.clone());
-                crate::stats::bump(&core.stats.items_restored);
+                crate::stats::bump(&core.stats.local().items_restored);
             }
         }
         let inner = Arc::new(ItemInner { name, core, store });
@@ -350,7 +338,7 @@ where
             Err(OutOfExtent) => Err(self.out_of_extent(&key)),
         };
         let waiters = put.inspect_err(|err| core.record_error(err.clone()))?;
-        crate::stats::bump(&core.stats.items_put);
+        crate::stats::bump(&core.stats.local().items_put);
         // Record the delivered put against the step body executing on
         // this thread, if any: a transient failure returned after it
         // cannot be retried (the retry would re-put).
@@ -372,7 +360,7 @@ where
             Err(OutOfExtent) => return Err(self.out_of_extent(key).into()),
         };
         if slot.get().is_none() && scope.park_on(slot) {
-            crate::stats::bump(&self.inner.core.stats.gets_blocked);
+            crate::stats::bump(&self.inner.core.stats.local().gets_blocked);
             return Err(StepAbort::Blocked);
         }
         scope.count_get_ok();
@@ -387,9 +375,9 @@ where
     pub fn try_get(&self, key: &K) -> Option<V> {
         let v = self.get_env(key);
         if v.is_some() {
-            crate::stats::bump(&self.inner.core.stats.gets_ok);
+            crate::stats::bump(&self.inner.core.stats.local().gets_ok);
         } else {
-            crate::stats::bump(&self.inner.core.stats.gets_nb_missing);
+            crate::stats::bump(&self.inner.core.stats.local().gets_nb_missing);
         }
         v
     }
@@ -415,21 +403,10 @@ where
         ready
     }
 
-    /// This collection as a declared dependency names it. The handle
-    /// is made (cloned) only when `known` is not already this one.
-    pub(crate) fn park_store(
-        &self,
-        known: Option<&Arc<dyn ParkStore>>,
-    ) -> Option<Arc<dyn ParkStore>> {
-        let this = Arc::as_ptr(&self.inner) as *const ();
-        let same = known.is_some_and(|k| Arc::as_ptr(k) as *const () == this);
-        (!same).then(|| Arc::clone(&self.inner) as Arc<dyn ParkStore>)
-    }
-
-    /// The address of `key`'s slot, for [`ParkStore`].
-    pub(crate) fn slot_address(&self, key: &K) -> Result<SlotAddr, CncError> {
+    /// `key`'s slot, as a declared dependency names it.
+    pub(crate) fn slot(&self, key: &K) -> Result<&SlotState, CncError> {
         match self.inner.store.find_or_add(key) {
-            Ok(slot) => Ok(std::ptr::NonNull::from(slot).cast()),
+            Ok(slot) => Ok(slot),
             Err(OutOfExtent) => Err(self.out_of_extent(key)),
         }
     }

@@ -16,9 +16,9 @@
 //! * **Dynamic single assignment** — a second put to the same item key is
 //!   detected at run time and surfaces as an error, as in the C++
 //!   implementation the paper describes.
-//! * **Tuners** — [`DepSet`]/[`TagCollection::put_when`] reproduce the
+//! * **Tuners** — [`TagCollection::put_when`] reproduces the
 //!   pre-scheduling tuner (run a step only once its declared dependencies
-//!   are available) and support the "manually pre-declared dependencies"
+//!   are available) and supports the "manually pre-declared dependencies"
 //!   variant (Manual-CnC) the paper evaluates.
 //!
 //! The environment (the code outside the graph) puts initial items/tags
@@ -79,7 +79,7 @@ pub use managed::{ManagedHandle, PickFn, ReadyTask, ScheduleEvent};
 pub use retry::{BackoffKind, RetryPolicy};
 pub use runtime::{CancelToken, CncGraph};
 pub use stats::GraphStats;
-pub use tag::{DepSet, TagCollection};
+pub use tag::TagCollection;
 
 /// What a step body reports when it runs to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -143,7 +143,7 @@ fn str_hash(s: &str) -> u64 {
 impl InstanceRef {
     /// Asks the installed injector what to do with this execution.
     pub(crate) fn consult_injector(&self) -> Option<StepAbort> {
-        let injector = self.core.injector()?;
+        let injector = self.core().injector()?;
         let site = FaultSite {
             step: self.step_name,
             tag_hash: self.tag_hash,
@@ -157,16 +157,16 @@ impl InstanceRef {
                 // re-executions, whose count is interleaving-dependent.
                 // They therefore count into `delays_injected`, never into
                 // the replay-stable `faults_injected`.
-                self.core.count_injected_delay();
+                self.core().count_injected_delay();
                 std::thread::sleep(d);
                 None
             }
             FaultAction::FailTransient(msg) => {
-                self.core.count_injected_fault();
+                self.core().count_injected_fault();
                 Some(StepAbort::transient(msg))
             }
             FaultAction::FailPermanent(msg) => {
-                self.core.count_injected_fault();
+                self.core().count_injected_fault();
                 Some(StepAbort::permanent(msg))
             }
         }
@@ -198,17 +198,17 @@ impl InstanceRef {
             failure
         };
         if failure.kind == FailureKind::Permanent {
-            self.core.record_error(CncError::StepFailed {
+            self.core().record_error(CncError::StepFailed {
                 step: self.step_name,
                 failure,
             });
             return;
         }
-        let policy = self.core.step_config().retry_policy;
+        let policy = self.core().step_config().retry_policy;
         let attempts = self.attempts.fetch_add(1, Ordering::AcqRel) + 1;
         if attempts < policy.max_attempts {
-            crate::stats::bump(&self.core.stats.steps_retried);
-            if let Some(tracer) = self.core.tracer.get() {
+            crate::stats::bump(&self.core().stats.local().steps_retried);
+            if let Some(tracer) = self.core().tracer.get() {
                 tracer.lane().instant(EventKind::StepRetry {
                     step: self.trace_id(tracer),
                     tag: self.tag_hash,
@@ -226,9 +226,9 @@ impl InstanceRef {
             // Fair re-enqueue (global injector): the pending slot is
             // claimed before this execution retires below, so quiescence
             // can never slip through between failure and retry.
-            self.core.enqueue(self.clone(), true);
+            self.core().enqueue(self.clone(), true);
         } else if policy.max_attempts > 1 {
-            self.core.record_error(CncError::RetryExhausted {
+            self.core().record_error(CncError::RetryExhausted {
                 step: self.step_name,
                 attempts,
                 failure,
@@ -236,7 +236,7 @@ impl InstanceRef {
         } else {
             // No retry budget configured: a transient failure aborts the
             // graph just like a permanent one.
-            self.core.record_error(CncError::StepFailed {
+            self.core().record_error(CncError::StepFailed {
                 step: self.step_name,
                 failure,
             });

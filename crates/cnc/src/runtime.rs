@@ -19,7 +19,7 @@ use crate::fault::FaultInjector;
 use crate::item::{GridKey, ItemCollection};
 use crate::managed::{ManagedState, PickFn};
 use crate::retry::RetryPolicy;
-use crate::stats::{GraphStats, StatCounters};
+use crate::stats::{GraphStats, Stats};
 use crate::tag::TagCollection;
 
 /// A handle for cancelling a running graph from the environment (another
@@ -368,7 +368,7 @@ impl CncGraph {
     /// bodies using the non-blocking style keep the wasted-work
     /// accounting comparable with the blocking style's requeue counter.
     pub fn record_nb_retry(&self) {
-        crate::stats::bump(&self.core.stats.nb_retries);
+        crate::stats::bump(&self.core.stats.local().nb_retries);
     }
 
     /// A snapshot of the execution counters (callable at any time).
@@ -464,13 +464,10 @@ struct GraphConfig {
     wait_probe: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
-/// Shards of the completed-step log, by tag hash (few: each is a lock
-/// to create per graph, and held only for a push).
-pub(crate) const LOG_SHARDS: usize = 4;
-
 /// Shared runtime state. The [`CncGraph`] handle, every collection and
-/// every step instance hold the core; the core holds the collections
-/// and the pool weakly, so the graph owner controls the pool's lifetime.
+/// every prescription (and through it, its step instances) hold the
+/// core; the core holds the collections and the pool weakly, so the
+/// graph owner controls the pool's lifetime.
 /// Collections hold prescriptions and wait lists, those hold step
 /// bodies, and bodies usually hold collection handles again — the one
 /// cycle, cut by `teardown`: a graph's step bodies and parked instances
@@ -512,12 +509,6 @@ pub(crate) struct RuntimeCore {
     /// Event tracer, installed at most once via [`CncGraph::set_tracer`].
     /// `None` keeps every instrumentation site a single branch.
     pub(crate) tracer: OnceLock<Arc<Tracer>>,
-    /// Completed executions that put no tags: `(step name, tag hash)`,
-    /// appended here and folded into a set by [`CncGraph::checkpoint`].
-    /// The data-producing steps a checkpoint records and a resumed run
-    /// skips (tag-putting expansion steps re-run instead; see
-    /// [`crate::checkpoint`]).
-    pub(crate) executed_log: [Mutex<Vec<(&'static str, u64)>>; LOG_SHARDS],
     /// Steps a checkpoint installed by [`CncGraph::resume_from`] marks
     /// as already completed: instances whose identity is in the set
     /// retire without executing their bodies.
@@ -526,7 +517,8 @@ pub(crate) struct RuntimeCore {
     /// [`CncGraph::resume_from`], consumed by `ItemCollection::new` when
     /// the matching collection is re-created on the resumed graph.
     pub(crate) resume_seeds: Mutex<HashMap<&'static str, ItemSnapshot>>,
-    pub(crate) stats: StatCounters,
+    /// Counters and the completed-step log, sharded per worker.
+    pub(crate) stats: Stats,
 }
 
 impl RuntimeCore {
@@ -550,10 +542,9 @@ impl RuntimeCore {
             frozen: OnceLock::new(),
             managed: managed.map(ManagedState::new),
             tracer: OnceLock::new(),
-            executed_log: std::array::from_fn(|_| Mutex::default()),
             skip_set: OnceLock::new(),
             resume_seeds: Mutex::new(HashMap::new()),
-            stats: StatCounters::default(),
+            stats: Stats::new(pool.map(|p| &**p)),
         })
     }
 
@@ -625,11 +616,11 @@ impl RuntimeCore {
     }
 
     pub(crate) fn count_injected_fault(&self) {
-        crate::stats::bump(&self.stats.faults_injected);
+        crate::stats::bump(&self.stats.local().faults_injected);
     }
 
     pub(crate) fn count_injected_delay(&self) {
-        crate::stats::bump(&self.stats.delays_injected);
+        crate::stats::bump(&self.stats.local().delays_injected);
     }
 
     /// Scans every collection for parked waiters and assembles the

@@ -31,9 +31,13 @@ fn spin(rounds: &mut u32) {
     *rounds += 1;
 }
 
+/// The state word of a [`Slot`]: all of it that waiting needs, whatever
+/// the payload type — what a declared dependency points at.
+pub(crate) struct SlotState(AtomicPtr<Header>);
+
 /// One single-assignment item; see [`crate::hot`] for the protocol.
 pub(crate) struct Slot<V> {
-    state: AtomicPtr<Header>,
+    state: SlotState,
     value: UnsafeCell<MaybeUninit<V>>,
 }
 
@@ -43,39 +47,32 @@ pub(crate) struct Slot<V> {
 unsafe impl<V: Send + Sync> Sync for Slot<V> {}
 unsafe impl<V: Send> Send for Slot<V> {}
 
-impl<V> Slot<V> {
-    pub(crate) fn empty() -> Self {
-        Slot {
-            state: AtomicPtr::new(mark(EMPTY)),
-            value: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
+impl<V> std::ops::Deref for Slot<V> {
+    type Target = SlotState;
 
+    fn deref(&self) -> &SlotState {
+        &self.state
+    }
+}
+
+impl SlotState {
     pub(crate) fn is_ready(&self) -> bool {
-        self.state.load(Ordering::Acquire).addr() == READY
-    }
-
-    /// The item, if it has been put.
-    pub(crate) fn get(&self) -> Option<&V> {
-        // SAFETY: READY is stored after the payload write (release /
-        // acquire) and the payload is never written again.
-        self.is_ready()
-            .then(|| unsafe { (*self.value.get()).assume_init_ref() })
+        self.0.load(Ordering::Acquire).addr() == READY
     }
 
     /// Moves the word from "no item yet" (empty or a wait list) to
     /// `to`, waiting out SCANNING, and returns the wait list it
     /// replaced. `None`: the item is being or has been put.
     fn claim(&self, to: usize) -> Option<*mut Header> {
-        let (mut seen, mut rounds) = (self.state.load(Ordering::Acquire), 0);
+        let (mut seen, mut rounds) = (self.0.load(Ordering::Acquire), 0);
         loop {
             match seen.addr() {
                 READY | WRITING => return None,
                 SCANNING => {
                     spin(&mut rounds);
-                    seen = self.state.load(Ordering::Acquire);
+                    seen = self.0.load(Ordering::Acquire);
                 }
-                _ => match self.state.compare_exchange_weak(
+                _ => match self.0.compare_exchange_weak(
                     seen,
                     mark(to),
                     Ordering::Acquire,
@@ -88,33 +85,20 @@ impl<V> Slot<V> {
         }
     }
 
-    /// Publishes the item and hands back the instances parked on it,
-    /// oldest first. `Err` returns the value: the slot was already put.
-    pub(crate) fn put(&self, value: V) -> Result<Waiters, V> {
-        let Some(list) = self.claim(WRITING) else {
-            return Err(value);
-        };
-        // SAFETY: winning the CAS to WRITING makes this thread the only
-        // writer the cell will ever have; no reader looks before READY.
-        unsafe { (*self.value.get()).write(value) };
-        self.state.store(mark(READY), Ordering::Release);
-        Ok(Waiters::oldest_first(list))
-    }
-
     /// Parks `inst` until the item is put. `Err` hands it back: the item
     /// is there.
     pub(crate) fn park(&self, inst: InstanceRef) -> Result<(), InstanceRef> {
-        let (mut seen, mut rounds) = (self.state.load(Ordering::Acquire), 0);
+        let (mut seen, mut rounds) = (self.0.load(Ordering::Acquire), 0);
         loop {
             match seen.addr() {
                 READY => return Err(inst),
                 WRITING | SCANNING => {
                     spin(&mut rounds);
-                    seen = self.state.load(Ordering::Acquire);
+                    seen = self.0.load(Ordering::Acquire);
                 }
                 _ => {
                     inst.next.store(seen, Ordering::Relaxed);
-                    match self.state.compare_exchange_weak(
+                    match self.0.compare_exchange_weak(
                         seen,
                         inst.as_ptr(),
                         Ordering::Release,
@@ -145,7 +129,7 @@ impl<V> Slot<V> {
             visit(header);
             node = header.next.load(Ordering::Relaxed);
         }
-        self.state.store(head, Ordering::Release);
+        self.0.store(head, Ordering::Release);
     }
 
     /// Forgets the parked instances (teardown); the caller drops them.
@@ -155,9 +139,39 @@ impl<V> Slot<V> {
     }
 }
 
+impl<V> Slot<V> {
+    pub(crate) fn empty() -> Self {
+        Slot {
+            state: SlotState(AtomicPtr::new(mark(EMPTY))),
+            value: UnsafeCell::new(MaybeUninit::uninit()),
+        }
+    }
+
+    /// The item, if it has been put.
+    pub(crate) fn get(&self) -> Option<&V> {
+        // SAFETY: READY is stored after the payload write (release /
+        // acquire) and the payload is never written again.
+        self.is_ready()
+            .then(|| unsafe { (*self.value.get()).assume_init_ref() })
+    }
+
+    /// Publishes the item and hands back the instances parked on it,
+    /// oldest first. `Err` returns the value: the slot was already put.
+    pub(crate) fn put(&self, value: V) -> Result<Waiters, V> {
+        let Some(list) = self.claim(WRITING) else {
+            return Err(value);
+        };
+        // SAFETY: winning the CAS to WRITING makes this thread the only
+        // writer the cell will ever have; no reader looks before READY.
+        unsafe { (*self.value.get()).write(value) };
+        self.state.0.store(mark(READY), Ordering::Release);
+        Ok(Waiters::oldest_first(list))
+    }
+}
+
 impl<V> Drop for Slot<V> {
     fn drop(&mut self) {
-        let state = *self.state.get_mut();
+        let state = *self.state.0.get_mut();
         match state.addr() {
             // SAFETY: READY means the payload was written.
             READY => unsafe { self.value.get_mut().assume_init_drop() },

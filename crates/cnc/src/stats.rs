@@ -2,8 +2,58 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Internal atomic counters, shared by all collections of a graph.
+use parking_lot::Mutex;
+use recdp_forkjoin::{worker_index, PoolId, ThreadPool};
+
+/// A graph's counters and completed-step log, one [`StatCounters`] per
+/// pool worker plus one (the first) for every other thread, so that a
+/// step counts on lines only its own worker writes.
+///
+/// [`Stats::snapshot`] sums the shards, each read effect-before-cause
+/// (see [`StatCounters::snapshot`]). Whatever one step execution counts
+/// — started, its gets and puts, its outcome — it counts on the thread
+/// that runs it, hence in one shard; so every `effect <= cause`
+/// inequality holds shard by shard and therefore for the sums, and
+/// each sum is monotonic because each shard counter is.
+pub(crate) struct Stats {
+    pool: Option<PoolId>,
+    shards: Box<[StatCounters]>,
+}
+
+impl Stats {
+    pub(crate) fn new(pool: Option<&ThreadPool>) -> Self {
+        let workers = pool.map_or(0, |p| p.num_threads());
+        Stats {
+            pool: pool.map(|p| p.id()),
+            shards: (0..=workers).map(|_| StatCounters::default()).collect(),
+        }
+    }
+
+    /// The calling thread's shard.
+    pub(crate) fn local(&self) -> &StatCounters {
+        let worker = self.pool.and_then(worker_index);
+        worker
+            .and_then(|w| self.shards.get(w + 1))
+            .unwrap_or(&self.shards[0])
+    }
+
+    pub(crate) fn shards(&self) -> &[StatCounters] {
+        &self.shards
+    }
+
+    /// The counters summed over the shards.
+    pub(crate) fn snapshot(&self) -> GraphStats {
+        let mut total = GraphStats::default();
+        for shard in self.shards.iter() {
+            total += shard.snapshot();
+        }
+        total
+    }
+}
+
+/// One thread's share of [`Stats`], on cache lines of its own.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub(crate) struct StatCounters {
     pub steps_started: AtomicU64,
     pub steps_completed: AtomicU64,
@@ -19,6 +69,11 @@ pub(crate) struct StatCounters {
     pub tags_put: AtomicU64,
     pub steps_skipped: AtomicU64,
     pub items_restored: AtomicU64,
+    /// Completed executions that put no tags, `(step name, tag hash)`:
+    /// the data-producing steps [`crate::CncGraph::checkpoint`] records
+    /// and a resumed run skips (tag-putting expansion steps re-run
+    /// instead; see [`crate::checkpoint`]).
+    pub executed: Mutex<Vec<(&'static str, u64)>>,
 }
 
 /// Publishes one count. Every increment is a release store so that an

@@ -7,10 +7,8 @@ use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
-use crate::error::CncError;
 use crate::hot::{
-    note_body_put, note_body_tag_put, resume, DepEntry, InstanceRef, ParkStore, Prescription,
-    StepScope,
+    note_body_put, note_body_tag_put, resume, Deps, InstanceRef, Prescription, StepScope,
 };
 use crate::item::ItemCollection;
 use crate::runtime::{CollectionHooks, RuntimeCore, SpecLine};
@@ -97,6 +95,7 @@ where
         );
         if let Some(prescribed) = prescribed.as_mut() {
             prescribed.push(Arc::new(Prescription {
+                core: Arc::clone(&self.inner.core),
                 step_name,
                 trace_step: OnceLock::new(),
                 body: Box::new(body),
@@ -108,10 +107,10 @@ where
     }
 
     /// Counts the tag put and creates one instance per prescribed step,
-    /// each with its own `deps()`, handing them to `launch`.
-    fn instances(&self, tag: &T, deps: impl Fn() -> Box<[DepEntry]>, launch: impl Fn(InstanceRef)) {
-        let core = &self.inner.core;
-        crate::stats::bump(&core.stats.tags_put);
+    /// each with its own copy of `deps` (the last one with `deps`
+    /// itself), handing them to `launch`.
+    fn instances(&self, tag: &T, mut deps: Deps, launch: impl Fn(InstanceRef)) {
+        crate::stats::bump(&self.inner.core.stats.local().tags_put);
         // A tag put from inside a body spawns instances — re-executing
         // the body would spawn them again, so it counts as a
         // non-retryable side effect like an item put. It also marks the
@@ -139,16 +138,18 @@ where
         let mut h = DefaultHasher::new();
         tag.hash(&mut h);
         let tag_hash = h.finish();
-        // A prescription that no longer upgrades was released by the
-        // graph's teardown.
-        for prescription in prescriptions.iter().filter_map(Weak::upgrade) {
-            launch(InstanceRef::new(
-                core,
-                prescription,
-                tag.clone(),
-                tag_hash,
-                deps(),
-            ));
+        for (at, prescription) in prescriptions.iter().enumerate() {
+            // A prescription that no longer upgrades was released by the
+            // graph's teardown.
+            let Some(prescription) = prescription.upgrade() else {
+                continue;
+            };
+            let deps = if at + 1 == prescriptions.len() {
+                std::mem::take(&mut deps)
+            } else {
+                deps.clone()
+            };
+            launch(InstanceRef::new(prescription, tag.clone(), tag_hash, deps));
         }
     }
 
@@ -156,7 +157,7 @@ where
     /// (Native-CnC behaviour — instances discover missing inputs via
     /// failed blocking gets and retry).
     pub fn put(&self, tag: T) {
-        self.instances(&tag, Box::default, |inst| {
+        self.instances(&tag, Deps::default(), |inst| {
             self.inner.core.enqueue(inst, false)
         });
     }
@@ -166,157 +167,58 @@ where
     /// self-respawn. Identical to [`TagCollection::put`] plus the
     /// wasted-work accounting (`nb_retries`).
     pub fn put_retry(&self, tag: T) {
-        crate::stats::bump(&self.inner.core.stats.nb_retries);
+        crate::stats::bump(&self.inner.core.stats.local().nb_retries);
         // Fair (global-injector) dispatch: a self-respawning step on
         // a LIFO deque would otherwise be popped straight back and
         // livelock a single-worker pool.
-        self.instances(&tag, Box::default, |inst| {
+        self.instances(&tag, Deps::default(), |inst| {
             self.inner.core.enqueue(inst, true)
         });
     }
 
-    /// Puts a tag with a declared dependency set: instances are parked
-    /// until every item in `deps` has been put, then dispatched once —
-    /// the pre-scheduling tuner of Sec. III-D (and, when the environment
-    /// declares the whole computation up front, the Manual-CnC variant).
-    /// A set that named a key outside a grid collection's extent fails
-    /// the graph with that [`CncError::KeyOutOfExtent`] instead.
-    pub fn put_when(&self, tag: T, deps: &DepSet) {
-        let core = &self.inner.core;
-        if let Some(err) = &deps.error {
-            return core.record_error(err.clone());
-        }
-        match deps.first_missing() {
-            // Nothing to wait for: the instance never counts as blocked.
-            None => self.put(tag),
-            Some((run, at)) => self.instances(
-                &tag,
-                // What the instance still has to check, under the
-                // collection of the run it starts in.
-                || {
-                    [&deps.entries[run..=run], &deps.entries[at..]]
-                        .concat()
-                        .into()
-                },
-                |inst| {
-                    core.blocked.fetch_add(1, Ordering::AcqRel);
-                    resume(inst);
-                },
-            ),
-        }
-    }
-}
-
-/// A declared dependency set for pre-scheduled instances — the tuner
-/// mechanism of Sec. III-D. Build one with [`DepSet::item`] calls, then
-/// pass it to `TagCollection::put_when`: the prescribed step will only
-/// be dispatched once every listed item exists, eliminating Native-CnC's
-/// abort-and-retry re-executions.
-#[derive(Default)]
-pub struct DepSet {
-    /// Run-length encoded: see [`DepEntry`].
-    entries: Vec<DepEntry>,
-    /// Index of the last `In` entry.
-    run: usize,
-    len: usize,
-    /// The first key that was outside its collection's extent.
-    error: Option<CncError>,
-}
-
-impl DepSet {
-    /// An empty dependency set (the step dispatches immediately).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds "item `key` of `collection` must exist" to the set.
-    pub fn item<K, V>(self, collection: &ItemCollection<K, V>, key: K) -> Self
-    where
-        K: std::hash::Hash + Eq + Clone + std::fmt::Debug + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        self.items(collection, [key])
-    }
-
-    /// [`DepSet::item`] for every key of `keys`.
-    pub fn items<K, V>(
-        mut self,
-        collection: &ItemCollection<K, V>,
+    /// Puts a tag with declared dependencies: instances are parked until
+    /// every item of `items` named by `keys` has been put, then
+    /// dispatched once — the pre-scheduling tuner of Sec. III-D (and,
+    /// when the environment declares the whole computation up front, the
+    /// Manual-CnC variant), eliminating Native-CnC's abort-and-retry
+    /// re-executions. Nothing is built on the way: the slots still
+    /// missing are written into the instance itself. A key outside a
+    /// grid collection's extent fails the graph with that
+    /// [`crate::CncError::KeyOutOfExtent`] instead, and no instance is
+    /// created.
+    pub fn put_when<K, V>(
+        &self,
+        tag: T,
+        items: &ItemCollection<K, V>,
         keys: impl IntoIterator<Item = K>,
-    ) -> Self
-    where
-        K: std::hash::Hash + Eq + Clone + std::fmt::Debug + Send + Sync + 'static,
+    ) where
+        K: Hash + Eq + Clone + std::fmt::Debug + Send + Sync + 'static,
         V: Clone + Send + Sync + 'static,
     {
-        let keys = keys.into_iter();
-        self.entries.reserve(keys.size_hint().0 + 1);
-        let mut named = false;
-        for key in keys {
-            match collection.slot_address(&key) {
-                Ok(slot) => {
-                    if !std::mem::replace(&mut named, true) {
-                        self.name(collection);
-                    }
-                    self.entries.push(DepEntry::Slot(slot));
-                    self.len += 1;
-                }
-                Err(err) => {
-                    self.error.get_or_insert(err);
-                }
+        let core = &self.inner.core;
+        let mut deps = Deps::default();
+        let mut keys = keys.into_iter();
+        while let Some(key) = keys.next() {
+            match items.slot(&key) {
+                Ok(slot) if slot.is_ready() => {}
+                Ok(slot) => deps.push(slot, keys.size_hint().0),
+                Err(err) => return core.record_error(err),
             }
         }
-        self
-    }
-
-    /// Starts a run of `collection`'s slots, unless one is open.
-    fn name<K, V>(&mut self, collection: &ItemCollection<K, V>)
-    where
-        K: std::hash::Hash + Eq + Clone + std::fmt::Debug + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        let open = match self.entries.get(self.run) {
-            Some(DepEntry::In(store)) => Some(store),
-            _ => None,
-        };
-        if let Some(store) = collection.park_store(open) {
-            self.run = self.entries.len();
-            self.entries.push(DepEntry::In(store));
+        if deps.is_empty() {
+            // Nothing to wait for: the instance never counts as blocked.
+            return self.put(tag);
         }
-    }
-
-    /// Number of declared dependencies.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no dependencies are declared.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The first dependency whose item is missing: the index of its
-    /// run's `In` entry and its own.
-    fn first_missing(&self) -> Option<(usize, usize)> {
-        let mut current: Option<(usize, &Arc<dyn ParkStore>)> = None;
-        for (at, entry) in self.entries.iter().enumerate() {
-            match (entry, current) {
-                (DepEntry::In(store), _) => current = Some((at, store)),
-                // SAFETY: `item` paired the slot with this collection.
-                (DepEntry::Slot(slot), Some((run, store))) => {
-                    if !unsafe { store.is_ready(*slot) } {
-                        return Some((run, at));
-                    }
-                }
-                (DepEntry::Slot(_), None) => unreachable!("a run starts with its collection"),
-            }
-        }
-        None
+        self.instances(&tag, deps, |inst| {
+            core.blocked.fetch_add(1, Ordering::AcqRel);
+            resume(inst);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{CncGraph, DepSet, StepOutcome};
+    use crate::{CncGraph, StepOutcome};
     use std::sync::atomic::{AtomicU32, Ordering as AOrd};
 
     #[test]
@@ -403,7 +305,7 @@ mod tests {
             o2.put(n, a + b)?;
             Ok(StepOutcome::Done)
         });
-        tags.put_when(4, &DepSet::new().item(&input, 4).item(&input, 5));
+        tags.put_when(4, &input, [4, 5]);
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert_eq!(g.stats().steps_started, 0, "must not dispatch before deps");
         input.put(4, 10).unwrap();
@@ -429,18 +331,8 @@ mod tests {
             Ok(StepOutcome::Done)
         });
         input.put(1, 11).unwrap();
-        tags.put_when(1, &DepSet::new().item(&input, 1));
+        tags.put_when(1, &input, [1]);
         g.wait().unwrap();
         assert_eq!(out.get_env(&1), Some(11));
-    }
-
-    #[test]
-    fn dep_set_len() {
-        let g = CncGraph::with_threads(1);
-        let items = g.item_collection::<u32, u32>("i");
-        let d = DepSet::new();
-        assert!(d.is_empty());
-        let d = d.item(&items, 1).item(&items, 2);
-        assert_eq!(d.len(), 2);
     }
 }

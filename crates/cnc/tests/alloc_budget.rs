@@ -1,17 +1,16 @@
 //! What a step instance may allocate: the instance. A counting global
 //! allocator brackets 10 000 instances of the benchmark's step shape
-//! (two gets, one put, one worker) and holds them to three allocations
-//! each — the instance, the caller's `DepSet`, and the dependencies a
-//! parked pre-scheduled instance keeps — under the Tuner style with
-//! every instance parked, and under Native with every get blocking
-//! once (three executions per instance, still one allocation).
+//! (two gets, one put, one worker) and holds them to one allocation
+//! each — under the Tuner style with every instance parked (its
+//! declared dependencies live inside it), and under Native with every
+//! get blocking once (three executions per instance).
 //!
 //! One `#[test]` only: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use recdp_cnc::{CncGraph, DepSet, StepOutcome};
+use recdp_cnc::{CncGraph, StepOutcome};
 
 struct Counting;
 
@@ -66,7 +65,7 @@ fn allocations(pre_scheduled: bool) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for n in 0..INSTANCES - 1 {
         if pre_scheduled {
-            tags.put_when(n, &DepSet::new().item(&input, n).item(&input, n + 1));
+            tags.put_when(n, &input, [n, n + 1]);
         } else {
             tags.put(n);
         }
@@ -102,15 +101,10 @@ fn allocations(pre_scheduled: bool) -> usize {
 }
 
 #[test]
-fn a_step_instance_costs_at_most_three_allocations() {
-    let budget = 3 * INSTANCES as usize + CONSTANT;
+fn a_step_instance_costs_one_allocation() {
+    let budget = INSTANCES as usize + CONSTANT;
     let tuner = allocations(true);
     assert!(tuner <= budget, "pre-scheduled: {tuner} allocations");
     let native = allocations(false);
     assert!(native <= budget, "blocking gets: {native} allocations");
-    // And Native, which declares nothing, is the bare instance.
-    assert!(
-        native <= INSTANCES as usize + CONSTANT,
-        "blocking gets: {native} allocations for {INSTANCES} instances"
-    );
 }

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use recdp_cnc::{CncError, CncGraph, DepSet, ItemCollection, StepAbort, StepOutcome};
+use recdp_cnc::{CncError, CncGraph, ItemCollection, StepAbort, StepOutcome};
 use recdp_forkjoin::{ThreadPool, ThreadPoolBuilder};
 
 type Key = (u32, u32);
@@ -64,9 +64,7 @@ fn producers_and_parking_consumers_race_and_every_consumer_resumes_once() {
                     for n in (0..N).rev() {
                         for p in 0..P {
                             if n % 2 == 0 {
-                                let deps =
-                                    DepSet::new().item(items, (p, n)).item(items, (p, n + 1));
-                                tags.put_when((p, n, c), &deps);
+                                tags.put_when((p, n, c), items, [(p, n), (p, n + 1)]);
                             } else {
                                 tags.put((p, n, c));
                             }
@@ -174,9 +172,7 @@ fn keys_outside_the_extent_are_structured_errors_and_the_pool_survives() {
     let cells = collection(&graph, "cells", true);
     let tags = graph.tag_collection::<u32>("t");
     tags.prescribe("never", |_, _| Err(StepAbort::permanent("must not run")));
-    let deps = DepSet::new().item(&cells, (0, 0)).item(&cells, (8, 0));
-    assert_eq!(deps.len(), 1, "only the valid key counts");
-    tags.put_when(0, &deps);
+    tags.put_when(0, &cells, [(0, 0), (8, 0)]);
     assert_eq!(graph.wait(), Err(expected));
     assert_eq!(graph.stats().steps_started, 0);
 
@@ -219,11 +215,8 @@ fn wavefront(graph: &CncGraph, grid: bool, rows_with_source: u32) -> ItemCollect
     for i in 0..8 {
         for j in 1..8 {
             if j % 2 == 0 {
-                let mut deps = DepSet::new().item(&cells, (i, j - 1));
-                if i > 0 {
-                    deps = deps.item(&cells, (i - 1, j));
-                }
-                tags.put_when((i, j), &deps);
+                let up = (i > 0).then(|| (i - 1, j));
+                tags.put_when((i, j), &cells, [(i, j - 1)].into_iter().chain(up));
             } else {
                 tags.put((i, j));
             }

@@ -12,7 +12,7 @@
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use recdp_cnc::{CncError, CncGraph, DepSet, ItemCollection, StepOutcome, TagCollection};
+use recdp_cnc::{CncError, CncGraph, ItemCollection, StepOutcome, TagCollection};
 
 type Tags = TagCollection<u32>;
 type Items = ItemCollection<u32, u32>;
@@ -69,7 +69,7 @@ fn completed_graph_releases_its_step_bodies() {
     assert_eq!(items.get_env(&0), Some(42));
     // ...and a late tag put is the silent no-op it always was.
     tags.put(3);
-    tags.put_when(3, &DepSet::new().item(&items, 7));
+    tags.put_when(3, &items, [7]);
     assert_eq!(items.len_ready(), 2);
 }
 
@@ -81,7 +81,7 @@ fn deadlocked_graph_releases_parked_instances() {
     tags.put(4);
     // A second parked instance through the tuner path: its countdown
     // sits on the same wait list without ever having executed.
-    tags.put_when(0, &DepSet::new().item(&items, 100));
+    tags.put_when(0, &items, [100]);
     match graph.wait() {
         Err(CncError::Deadlock {
             blocked_instances, ..

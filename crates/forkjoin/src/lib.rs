@@ -73,8 +73,8 @@ mod scope;
 
 pub use job::RawJob;
 pub use registry::{
-    current_num_threads, spawn_local, PoolId, RecoveryMode, StealPolicy, TaskHook, ThreadPool,
-    ThreadPoolBuilder,
+    current_num_threads, spawn_local, worker_index, PoolId, RecoveryMode, StealPolicy, TaskHook,
+    ThreadPool, ThreadPoolBuilder,
 };
 pub use scope::{scope, Scope};
 

@@ -337,6 +337,15 @@ pub fn spawn_local<J: RawJob>(pool: PoolId, job: J) -> Result<(), J> {
     }
 }
 
+/// The calling thread's worker slot in pool `pool` (below
+/// [`ThreadPool::num_threads`]; a respawned worker inherits its
+/// predecessor's), or `None` if it is not one of that pool's workers.
+pub fn worker_index(pool: PoolId) -> Option<usize> {
+    WorkerThread::current()
+        .filter(|wt| wt.registry.id == pool.0)
+        .map(|wt| wt.index)
+}
+
 /// Number of threads of the pool the current thread belongs to, or of the
 /// global pool otherwise.
 pub fn current_num_threads() -> usize {

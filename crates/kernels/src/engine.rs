@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use recdp_cnc::{
-    CncError, CncGraph, DepSet, GraphStats, ItemCollection, StepOutcome, StepResult, StepScope,
+    CncError, CncGraph, GraphStats, ItemCollection, StepOutcome, StepResult, StepScope,
     TagCollection,
 };
 use recdp_forkjoin::{join, ThreadPool};
@@ -35,7 +35,8 @@ use crate::CncVariant;
 
 /// Runs one base tile, through the snapshot / inject / verify / repair
 /// pipeline of [`integrity::execute_tile`] on a checked run. Returns the
-/// digest the producer vouches for (`0` on unchecked runs).
+/// digest the producer vouches for (`0` on unchecked runs, and wherever
+/// a caller that does not `publish` it would have been its only use).
 ///
 /// # Safety
 /// Same contract as [`DpSpec::run_tile`].
@@ -45,9 +46,10 @@ unsafe fn run_tile<S: DpSpec>(
     func: usize,
     tile: TileKey,
     integrity: Option<&IntegrityState>,
+    publish: bool,
 ) -> u64 {
     match integrity {
-        Some(st) => integrity::execute_tile(spec, spec.step_names()[func], tile, st),
+        Some(st) => integrity::execute_tile(spec, spec.step_names()[func], tile, st, publish),
         None => {
             spec.run_tile(tile);
             0
@@ -72,7 +74,7 @@ fn serial_call<S: DpSpec>(spec: &S, call: &Call, integrity: Option<&IntegritySta
         // SAFETY: depth-first stage order is a topological order of the
         // tile graph (stages sequence every dependency per the DpSpec
         // contract), and a single thread runs one tile at a time.
-        unsafe { run_tile(spec, call.func, spec.tile(call), integrity) };
+        unsafe { run_tile(spec, call.func, spec.tile(call), integrity, false) };
         return;
     }
     for stage in spec.expand(call) {
@@ -130,7 +132,7 @@ fn forkjoin_call<S: DpSpec>(
     if call.s == 1 {
         // SAFETY: calls within a stage touch disjoint tiles (DpSpec
         // contract) and the joins sequence every cross-stage dependency.
-        unsafe { run_tile(spec, call.func, spec.tile(call), integrity) };
+        unsafe { run_tile(spec, call.func, spec.tile(call), integrity, false) };
         return;
     }
     for stage in spec.expand(call) {
@@ -214,23 +216,22 @@ struct EngineCtx<S: DpSpec> {
 }
 
 impl<S: DpSpec> EngineCtx<S> {
-    /// Declared dependency set of a base tile task (for `put_when`).
-    fn deps(&self, tile: TileKey) -> DepSet {
-        DepSet::new()
-            .items(&self.items, self.spec.reads(tile))
-            .items(&self.items, self.anti_deps(tile))
-    }
-
     /// Anti-dependence edges ([`DpSpec::anti_deps`]) are honoured only
     /// on checked runs: verification and repair re-read a tile's inputs
     /// long after the gets that proved them ready, so the inputs must
     /// stay frozen until the tile's own item is put. Unchecked runs keep
     /// the spec's plain data-flow graph — the paper's program shape.
-    fn anti_deps(&self, tile: TileKey) -> Vec<TileKey> {
-        match &self.integrity {
-            Some(_) => self.spec.anti_deps(tile),
-            None => Vec::new(),
-        }
+    fn anti_deps(&self, tile: TileKey) -> impl Iterator<Item = TileKey> + '_ {
+        let checked = self.integrity.is_some();
+        checked
+            .then(|| self.spec.anti_deps(tile))
+            .into_iter()
+            .flatten()
+    }
+
+    /// Every item a base tile task waits for, in blocking-get order.
+    fn deps(&self, tile: TileKey) -> impl Iterator<Item = TileKey> + '_ {
+        self.spec.reads(tile).chain(self.anti_deps(tile))
     }
 
     /// Publishes a call: recursive tags are always plain puts (they have
@@ -252,7 +253,7 @@ impl<S: DpSpec> EngineCtx<S> {
             CncVariant::Native | CncVariant::NonBlocking => self.tags[call.func].put(tag),
             CncVariant::Tuner | CncVariant::Manual => {
                 let deps = self.deps(self.spec.tile(call));
-                self.tags[call.func].put_when(tag, &deps);
+                self.tags[call.func].put_when(tag, &self.items, deps);
             }
         }
     }
@@ -264,14 +265,8 @@ impl<S: DpSpec> EngineCtx<S> {
     fn run_base(&self, func: usize, tag: Tag, scope: &StepScope<'_>) -> StepResult {
         let call = Call::new(func, tag.0, tag.1, tag.2, 1);
         let tile = self.spec.tile(&call);
-        let anti_deps = self.anti_deps(tile);
         if self.variant == CncVariant::NonBlocking {
-            let ready = self
-                .spec
-                .reads(tile)
-                .iter()
-                .chain(anti_deps.iter())
-                .all(|r| self.items.try_get(r).is_some());
+            let ready = self.deps(tile).all(|r| self.items.try_get(&r).is_some());
             if !ready {
                 self.tags[func].put_retry(tag);
                 return Ok(StepOutcome::Done);
@@ -287,14 +282,14 @@ impl<S: DpSpec> EngineCtx<S> {
         // Ordering-only edges: wait for every reader of the region this
         // tile overwrites, so verify/repair re-reads stable inputs. The
         // payloads are not data and are not re-verified here.
-        for r in anti_deps {
+        for r in self.anti_deps(tile) {
             self.items.get(scope, &r)?;
         }
         // SAFETY: this task is the unique writer of its tile
         // (single assignment on the item collection enforces it), and
         // every tile in `reads` was completed by the task whose item the
         // get above observed.
-        let digest = unsafe { run_tile(&self.spec, func, tile, integrity) };
+        let digest = unsafe { run_tile(&self.spec, func, tile, integrity, true) };
         let payload = match integrity {
             Some(st) => st.outgoing_payload(self.spec.item_name(), tile, digest),
             None => digest,
@@ -432,12 +427,8 @@ mod tests {
         fn tile(&self, call: &Call) -> TileKey {
             (call.i0, 0, 0)
         }
-        fn reads(&self, tile: TileKey) -> Vec<TileKey> {
-            if tile.0 > 0 {
-                vec![(tile.0 - 1, 0, 0)]
-            } else {
-                vec![]
-            }
+        fn reads(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
+            (tile.0 > 0).then(|| (tile.0 - 1, 0, 0)).into_iter()
         }
         fn manual_calls(&self) -> Vec<Call> {
             (0..self.t).map(|i| Call::new(0, i, 0, 0, 1)).collect()
@@ -534,8 +525,8 @@ mod tests {
         fn tile(&self, call: &Call) -> TileKey {
             (call.i0, 0, 0)
         }
-        fn reads(&self, _tile: TileKey) -> Vec<TileKey> {
-            vec![]
+        fn reads(&self, _tile: TileKey) -> impl Iterator<Item = TileKey> {
+            std::iter::empty()
         }
         fn manual_calls(&self) -> Vec<Call> {
             (0..self.w).map(|i| Call::new(0, i, 0, 0, 1)).collect()

@@ -173,22 +173,16 @@ impl DpSpec for FwSpec {
         (call.k0, call.i0, call.j0)
     }
 
-    fn reads(&self, tile: TileKey) -> Vec<TileKey> {
+    fn reads(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
         let (k, i, j) = tile;
-        let mut reads = Vec::with_capacity(4);
-        if k > 0 {
-            reads.push((k - 1, i, j)); // write-write chain
-        }
-        if i != k || j != k {
-            reads.push((k, k, k)); // pivot diagonal tile
-        }
-        if i != k {
-            reads.push((k, k, j)); // pivot row panel
-        }
-        if j != k {
-            reads.push((k, i, k)); // pivot column panel
-        }
-        reads
+        [
+            (k > 0).then(|| (k - 1, i, j)),          // write-write chain
+            (i != k || j != k).then_some((k, k, k)), // pivot diagonal tile
+            (i != k).then_some((k, k, j)),           // pivot row panel
+            (j != k).then_some((k, i, k)),           // pivot column panel
+        ]
+        .into_iter()
+        .flatten()
     }
 
     fn manual_calls(&self) -> Vec<Call> {
@@ -230,7 +224,7 @@ impl DpSpec for FwSpec {
         ))
     }
 
-    fn anti_deps(&self, tile: TileKey) -> Vec<TileKey> {
+    fn anti_deps(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
         // Tile (k, i, j) overwrites block (i, j). At round k-1 that
         // block was read beyond its chain successor only if it served
         // as the pivot diagonal (i = j = k-1), the pivot row panel
@@ -239,23 +233,20 @@ impl DpSpec for FwSpec {
         // (i, j != k-1) are read only by the chain, which `reads`
         // already orders.
         let (k, i, j) = tile;
-        if k == 0 {
-            return Vec::new();
-        }
-        let p = k - 1;
-        let t = self.t_tiles;
-        match (i == p, j == p) {
+        let (p, t) = (k.wrapping_sub(1), self.t_tiles);
+        // The readers' rows and columns; the chain predecessor (p, i, j)
+        // lies in every non-empty product and is left out.
+        let (rows, cols) = match (k > 0, i == p, j == p) {
             // Old pivot diagonal: every round-p tile read it.
-            (true, true) => (0..t)
-                .flat_map(|a| (0..t).map(move |b| (p, a, b)))
-                .filter(|&r| r != (p, p, p))
-                .collect(),
+            (true, true, true) => (0..t, 0..t),
             // Old pivot row panel (p, j): read down column j.
-            (true, false) => (0..t).filter(|&a| a != p).map(|a| (p, a, j)).collect(),
+            (true, true, false) => (0..t, j..j + 1),
             // Old pivot column panel (i, p): read across row i.
-            (false, true) => (0..t).filter(|&b| b != p).map(|b| (p, i, b)).collect(),
-            (false, false) => Vec::new(),
-        }
+            (true, false, true) => (i..i + 1, 0..t),
+            _ => (0..0, 0..0),
+        };
+        rows.flat_map(move |a| cols.clone().map(move |b| (p, a, b)))
+            .filter(move |&r| r != (p, i, j))
     }
 }
 
@@ -327,7 +318,7 @@ mod tests {
         let region_of = |k: TileKey| (k.1, k.2);
         for call in spec.manual_calls() {
             let tile = spec.tile(&call);
-            let anti = spec.anti_deps(tile);
+            let anti: Vec<TileKey> = spec.anti_deps(tile).collect();
             // Exactly the round-(k-1) tiles (other than the chain
             // predecessor) that read the block this tile overwrites.
             let expected: Vec<TileKey> = if tile.0 == 0 {
@@ -341,8 +332,7 @@ mod tests {
                             && r != (tile.0 - 1, tile.1, tile.2)
                             && spec
                                 .reads(r)
-                                .iter()
-                                .any(|rd| rd.0 == tile.0 - 1 && region_of(*rd) == region_of(tile))
+                                .any(|rd| rd.0 == tile.0 - 1 && region_of(rd) == region_of(tile))
                     })
                     .collect()
             };

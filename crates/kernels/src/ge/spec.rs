@@ -177,20 +177,17 @@ impl DpSpec for GeSpec {
         (call.k0, call.i0, call.j0)
     }
 
-    fn reads(&self, tile: TileKey) -> Vec<TileKey> {
+    fn reads(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
         let (k, i, j) = tile;
-        let mut reads = Vec::with_capacity(4);
-        if k > 0 {
-            reads.push((k - 1, i, j)); // write-write chain
-        }
-        if i != k || j != k {
-            reads.push((k, k, k)); // A's diagonal tile
-        }
-        if i != k && j != k {
-            reads.push((k, k, j)); // B row panel
-            reads.push((k, i, k)); // C column panel
-        }
-        reads
+        let inner = i != k && j != k;
+        [
+            (k > 0).then(|| (k - 1, i, j)),          // write-write chain
+            (i != k || j != k).then_some((k, k, k)), // A's diagonal tile
+            inner.then_some((k, k, j)),              // B row panel
+            inner.then_some((k, i, k)),              // C column panel
+        ]
+        .into_iter()
+        .flatten()
     }
 
     fn manual_calls(&self) -> Vec<Call> {

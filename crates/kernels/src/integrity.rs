@@ -37,6 +37,7 @@
 //! the graph quiesce (the last value is still published so no consumer
 //! parks forever), and the report carries the error to the caller.
 
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -515,10 +516,25 @@ impl IntegrityState {
     }
 }
 
-/// Runs one tile under the integrity policy: snapshot the pre-image,
-/// run the kernel, inject, then verify/repair per the mode. Returns the
-/// digest the producer vouches for (`0` when the spec has no
-/// [`DpSpec::tile_region`] or the run is entirely unchecked).
+thread_local! {
+    /// The pre-image buffer of the tile this thread is executing, kept
+    /// between tiles (taken out while in use, so a nested use would
+    /// merely allocate its own).
+    static PRE_IMAGE: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs one tile under the integrity policy: run the kernel, inject,
+/// and — if the mode samples this tile — verify/repair against the
+/// pre-image taken beforehand. A tile the mode does not sample takes no
+/// pre-image (nothing would restore it): the injector's flips flow
+/// silently, which is what `Sample(0.0)`, the silent-corruption
+/// baseline, measures.
+///
+/// Returns the digest the producer vouches for, taken right after the
+/// kernel ran and before injection; `0` when the spec has no
+/// [`DpSpec::tile_region`], when the run is entirely unchecked, or when
+/// an unsampled tile's caller does not `publish` it (only the data-flow
+/// engine does, as the item payload; the walkers discard it).
 ///
 /// # Safety
 /// Same contract as [`DpSpec::run_tile`]: the caller must hold the
@@ -529,6 +545,7 @@ pub unsafe fn execute_tile<S: DpSpec>(
     step: &'static str,
     tile: TileKey,
     st: &IntegrityState,
+    publish: bool,
 ) -> u64 {
     let Some(region) = spec.tile_region(tile) else {
         // Spec opted out of integrity (no dense table region): run bare.
@@ -540,16 +557,18 @@ pub unsafe fn execute_tile<S: DpSpec>(
         return 0;
     }
     let tile_hash = det_hash(&tile);
-    let pre = region.snapshot();
+    if !st.cfg.mode.samples(st.cfg.seed, tile_hash) {
+        spec.run_tile(tile);
+        let reference = if publish { region.digest() } else { 0 };
+        st.inject(step, tile_hash, 0, &region);
+        return reference;
+    }
+    let mut pre = PRE_IMAGE.take();
+    region.snapshot_into(&mut pre);
     spec.run_tile(tile);
     let reference = region.digest();
     st.inject(step, tile_hash, 0, &region);
-    if !st.cfg.mode.samples(st.cfg.seed, tile_hash) {
-        // Unsampled (or mode Off): whatever the injector did flows
-        // silently; the producer still vouches for its reference digest.
-        return reference;
-    }
-    match st.cfg.mode {
+    let vouched = match st.cfg.mode {
         IntegrityMode::Off => unreachable!("Off never samples"),
         IntegrityMode::Sample(_) | IntegrityMode::Full => {
             st.verify_repair(spec, step, tile, tile_hash, &region, &pre, reference)
@@ -557,7 +576,9 @@ pub unsafe fn execute_tile<S: DpSpec>(
         IntegrityMode::DualExecute(_) => {
             st.dual_execute(spec, step, tile, tile_hash, &region, &pre)
         }
-    }
+    };
+    PRE_IMAGE.set(pre);
+    vouched
 }
 
 /// Deterministic hash of a tile key (or any hashable key):

@@ -211,8 +211,9 @@ pub trait DpSpec: Clone + Send + Sync + 'static {
     fn tile(&self, call: &Call) -> TileKey;
 
     /// Tiles whose final values the tile task reads, in blocking-get
-    /// order. Must be empty for source tiles.
-    fn reads(&self, tile: TileKey) -> Vec<TileKey>;
+    /// order. Must be empty for source tiles. An iterator, not a list:
+    /// the engines walk it once per use and nothing is allocated.
+    fn reads(&self, tile: TileKey) -> impl Iterator<Item = TileKey>;
 
     /// Every base call of the whole computation in a valid topological
     /// order — the Manual-CnC pre-declaration sequence.
@@ -254,9 +255,9 @@ pub trait DpSpec: Clone + Send + Sync + 'static {
     /// their item is put — true of every benchmark here except FW, whose
     /// pivot row/column/diagonal blocks are re-relaxed in the very next
     /// round while the current round is still reading them.
-    fn anti_deps(&self, tile: TileKey) -> Vec<TileKey> {
+    fn anti_deps(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
         let _ = tile;
-        Vec::new()
+        std::iter::empty()
     }
 }
 

@@ -185,6 +185,9 @@ pub struct TileRegion {
     cols: usize,
 }
 
+/// Independent mixing chains of [`TileRegion::digest`].
+const DIGEST_LANES: usize = 4;
+
 impl TileRegion {
     /// The `rows x cols` region with top-left corner `(row0, col0)`;
     /// must lie inside the table.
@@ -208,29 +211,43 @@ impl TileRegion {
         self.rows * self.cols
     }
 
-    /// FNV-1a digest over the region geometry and every cell's bit
-    /// pattern, the same mix as [`Matrix::bit_digest`]. Bitwise
-    /// determinism makes this an exact per-tile checksum: two digests
+    /// Digest over the region geometry and every cell's bit pattern: an
+    /// exact per-tile checksum under bitwise determinism — two digests
     /// agree iff the regions are bit-identical (up to hash collision).
+    ///
+    /// Word-at-a-time over `DIGEST_LANES` independent lanes (cell `n`,
+    /// row-major, goes to lane `n % DIGEST_LANES`), so the multiplies of
+    /// consecutive cells overlap instead of forming one serial chain.
+    /// Mixing a word `x` into a lane `h` is `(h ^ x) * K` rotated, and
+    /// the lanes are folded into the result by the same step: each is a
+    /// bijection of `x` for fixed `h` and of `h` for fixed `x`, so
+    /// changing one cell — by any bits at all, hence by any single bit
+    /// — changes its lane after that cell, the lane's final value, and
+    /// the digest: a single-cell corruption never collides.
     ///
     /// # Safety
     /// No concurrent task may be writing any cell of the region.
     pub unsafe fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        mix(self.rows as u64);
-        mix(self.cols as u64);
+        fn mix(h: u64, x: u64) -> u64 {
+            (h ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
+        }
+        let mut lanes = [
+            mix(0xcbf2_9ce4_8422_2325, self.rows as u64),
+            mix(0x8422_2325_cbf2_9ce4, self.cols as u64),
+            0x0000_0100_0000_01b3,
+            0x01b3_0000_0100_0000,
+        ];
+        let mut n = 0;
         for i in 0..self.rows {
+            let row = self.table.row_ptr(self.row0 + i).add(self.col0);
             for j in 0..self.cols {
-                mix(self.table.get(self.row0 + i, self.col0 + j).to_bits());
+                let lane = &mut lanes[n % DIGEST_LANES];
+                *lane = mix(*lane, (*row.add(j)).to_bits());
+                n += 1;
             }
         }
-        h
+        let h = lanes.into_iter().fold(self.cells() as u64, mix);
+        h ^ (h >> 32)
     }
 
     /// Copies the region's current contents out (the pre-image a repair
@@ -239,13 +256,22 @@ impl TileRegion {
     /// # Safety
     /// No concurrent task may be writing any cell of the region.
     pub unsafe fn snapshot(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.cells());
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.push(self.table.get(self.row0 + i, self.col0 + j));
-            }
-        }
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
         out
+    }
+
+    /// [`TileRegion::snapshot`] into a buffer the caller reuses.
+    ///
+    /// # Safety
+    /// As [`TileRegion::snapshot`].
+    pub unsafe fn snapshot_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(self.cells());
+        for i in 0..self.rows {
+            let row = self.table.row_ptr(self.row0 + i).add(self.col0);
+            out.extend_from_slice(std::slice::from_raw_parts(row, self.cols));
+        }
     }
 
     /// Writes a snapshot taken by [`TileRegion::snapshot`] back.
@@ -340,6 +366,27 @@ mod tests {
             assert_eq!(region.digest(), d0, "restore must be exact");
         }
         assert_eq!(m[(2, 4)], 20.0);
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_every_cell_changes_the_digest() {
+        // 4x4 fills every lane four times; 3x2 leaves lanes uneven and
+        // sits off the table's origin.
+        for (row0, col0, rows, cols) in [(0, 0, 4, 4), (1, 3, 3, 2)] {
+            let mut m = Matrix::from_fn(6, |i, j| (i * 6 + j) as f64 - 7.25);
+            let region = TileRegion::new(m.ptr(), row0, col0, rows, cols);
+            unsafe {
+                let clean = region.digest();
+                for cell in 0..region.cells() as u64 {
+                    for bit in 0..64 {
+                        region.flip_bit(cell, bit);
+                        assert_ne!(region.digest(), clean, "cell {cell} bit {bit}");
+                        region.flip_bit(cell, bit);
+                    }
+                }
+                assert_eq!(region.digest(), clean);
+            }
+        }
     }
 
     #[test]

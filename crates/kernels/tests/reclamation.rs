@@ -69,7 +69,7 @@ impl<S: DpSpec> DpSpec for Counted<S> {
     fn tile(&self, call: &Call) -> TileKey {
         self.inner.tile(call)
     }
-    fn reads(&self, tile: TileKey) -> Vec<TileKey> {
+    fn reads(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
         self.inner.reads(tile)
     }
     fn manual_calls(&self) -> Vec<Call> {
@@ -83,7 +83,7 @@ impl<S: DpSpec> DpSpec for Counted<S> {
     fn tile_region(&self, tile: TileKey) -> Option<TileRegion> {
         self.inner.tile_region(tile)
     }
-    fn anti_deps(&self, tile: TileKey) -> Vec<TileKey> {
+    fn anti_deps(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
         self.inner.anti_deps(tile)
     }
 }

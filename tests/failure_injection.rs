@@ -2,7 +2,7 @@
 //! violations and step failures must surface as structured errors, not
 //! hangs or corruption.
 
-use recdp_cnc::{CncError, CncGraph, DepSet, FailureKind, StepAbort, StepOutcome};
+use recdp_cnc::{CncError, CncGraph, FailureKind, StepAbort, StepOutcome};
 
 #[test]
 fn unproduced_item_deadlocks_cleanly() {
@@ -152,7 +152,7 @@ fn pre_scheduled_step_with_impossible_dep_deadlocks() {
     let items = g.item_collection::<u32, u32>("items");
     let tags = g.tag_collection::<u32>("t");
     tags.prescribe("never-runs", move |_, _| panic!("must not dispatch"));
-    tags.put_when(0, &DepSet::new().item(&items, 42));
+    tags.put_when(0, &items, [42]);
     match g.wait() {
         Err(CncError::Deadlock {
             blocked_instances, ..

@@ -98,7 +98,7 @@ impl<S: DpSpec> DpSpec for PoisonTile<S> {
     fn tile(&self, call: &Call) -> TileKey {
         self.inner.tile(call)
     }
-    fn reads(&self, tile: TileKey) -> Vec<TileKey> {
+    fn reads(&self, tile: TileKey) -> impl Iterator<Item = TileKey> {
         self.inner.reads(tile)
     }
     fn manual_calls(&self) -> Vec<Call> {

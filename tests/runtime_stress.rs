@@ -1,11 +1,14 @@
 //! Stress tests of the two runtimes under awkward concurrency shapes:
 //! nesting, sharing, interleaving and high fan-out.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use recdp_cnc::{CncGraph, StepOutcome};
+use recdp_cnc::{CncGraph, GraphStats, StepOutcome};
 use recdp_forkjoin::{join, scope, ThreadPoolBuilder};
+use recdp_kernels::engine::register_cnc;
+use recdp_kernels::workloads::{dna_sequence, ge_matrix};
+use recdp_kernels::{ge::GeSpec, sw::SwSpec, CncVariant, DpSpec, Matrix};
 
 #[test]
 fn scopes_inside_joins_inside_scopes() {
@@ -309,4 +312,73 @@ fn join_under_contention_returns_correct_values() {
             }
         });
     });
+}
+
+/// Runs `spec`'s data-flow program on `workers` workers while a second
+/// environment thread takes snapshots as fast as it can, and checks on
+/// each what a snapshot summed over per-worker counter shards must still
+/// guarantee: no effect without its cause, nothing ever going back.
+fn polled_run<S: DpSpec>(spec: &S, variant: CncVariant, workers: usize) -> (GraphStats, u64) {
+    let graph = CncGraph::with_threads(workers);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let poller = s.spawn(|| {
+            let (mut last, mut snapshots) = (GraphStats::default(), 0u64);
+            while !done.load(Ordering::Acquire) {
+                let now = graph.stats();
+                assert!(
+                    now.steps_completed + now.steps_requeued <= now.steps_started,
+                    "an outcome without its start: {now:?}"
+                );
+                // Every item of these programs is put by a step.
+                assert!(now.items_put <= now.steps_started, "{now:?}");
+                let ordered = |pick: fn(&GraphStats) -> u64| pick(&last) <= pick(&now);
+                assert!(
+                    ordered(|s| s.steps_started)
+                        && ordered(|s| s.steps_completed)
+                        && ordered(|s| s.steps_requeued)
+                        && ordered(|s| s.items_put)
+                        && ordered(|s| s.tags_put)
+                        && ordered(|s| s.gets_ok)
+                        && ordered(|s| s.gets_blocked),
+                    "a counter went back: {last:?} then {now:?}"
+                );
+                (last, snapshots) = (now, snapshots + 1);
+            }
+            snapshots
+        });
+        register_cnc(spec, variant, &graph, None);
+        let stats = graph.wait();
+        done.store(true, Ordering::Release);
+        (stats.expect("the run completes"), poller.join().unwrap())
+    })
+}
+
+#[test]
+fn snapshots_of_sharded_counters_stay_coherent_under_polling() {
+    const BASE: usize = 4;
+    let (a, b) = (dna_sequence(256, 3), dna_sequence(256, 4));
+    for variant in [CncVariant::Native, CncVariant::Tuner] {
+        let mut runs = Vec::new();
+        for workers in [1, 2] {
+            let mut ge = ge_matrix(128, 1);
+            let mut sw = Matrix::zeros(256);
+            let ge_run = polled_run(&GeSpec::new(ge.ptr(), BASE), variant, workers);
+            let sw_run = polled_run(&SwSpec::new(sw.ptr(), &a, &b, BASE), variant, workers);
+            assert!(ge_run.1 + sw_run.1 > 0, "no snapshot was taken mid-run");
+            runs.push((ge_run.0, sw_run.0));
+        }
+        // What does not depend on the schedule is the same on one worker
+        // and on two (everything, when nothing is ever requeued).
+        let stable = |s: &GraphStats| {
+            let executions = s.steps_started - s.steps_requeued;
+            (executions, s.steps_completed, s.items_put, s.tags_put)
+        };
+        for (one, two) in [(runs[0].0, runs[1].0), (runs[0].1, runs[1].1)] {
+            assert_eq!(stable(&one), stable(&two), "{variant:?}");
+            if variant == CncVariant::Tuner {
+                assert_eq!(one, two, "pre-scheduled steps are never requeued");
+            }
+        }
+    }
 }
